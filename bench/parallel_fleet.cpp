@@ -2,8 +2,10 @@
 // the barrier-epoch executor (sim/parallel.hpp) at 1/2/4/8 workers over
 // a faulted 8-device serve soak with the restart drill on.
 //
-// Reports events/sec (fleet simulation events over fe.run wall time) per
-// worker count plus the speedup relative to the 1-worker reference, and
+// Reports events/sec (fleet simulation event equivalents over fe.run wall
+// time: kernel events plus inlined clock edges, so the rate stays
+// comparable with one event per edge) per worker count, the kernel events
+// actually dispatched, the speedup relative to the 1-worker reference, and
 // byte-compares the 1-worker vs 4-worker metrics artifact — the executor's
 // determinism contract. Gates (results/BENCH_parallel.json, exit code):
 //   * identical_artifacts: 1w and 4w metrics JSON byte-identical and zero
@@ -31,7 +33,8 @@ constexpr u64 kSeed = 1;
 struct Cell {
   unsigned workers = 0;
   double wall_ms = 0.0;
-  u64 events = 0;
+  u64 events = 0;         ///< event equivalents (events + inlined edges)
+  u64 kernel_events = 0;  ///< events the kernels actually dispatched
   u64 completed = 0;
   std::size_t violations = 0;
   std::string metrics_json;
@@ -70,6 +73,7 @@ Cell run_cell(unsigned workers) {
   out.workers = workers;
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.events = fe.fleet_events_executed();
+  out.kernel_events = fe.fleet_kernel_events();
   out.violations = fe.violations().size();
   for (const serve::RequestRecord& rec : fe.records())
     if (rec.outcome == serve::Outcome::kCompleted) ++out.completed;
@@ -96,8 +100,8 @@ int main() {
               static_cast<unsigned long long>(kSeed));
   std::printf("  host hardware threads: %u (speedup gate %s)\n\n", hw_threads,
               enforce_speedup ? "enforced" : "recorded only");
-  std::printf("  %-8s %10s %12s %12s %9s %6s %6s\n", "workers", "wall_ms",
-              "events", "events/s", "speedup", "compl", "viol");
+  std::printf("  %-8s %10s %12s %12s %10s %9s %6s %6s\n", "workers", "wall_ms",
+              "events", "events/s", "kernel_ev", "speedup", "compl", "viol");
 
   bool identical = true;
   std::size_t total_violations = 0;
@@ -107,21 +111,23 @@ int main() {
     speedup[i] = c.wall_ms > 0.0 ? ref.wall_ms / c.wall_ms : 0.0;
     total_violations += c.violations;
     if (c.metrics_json != ref.metrics_json) identical = false;
-    std::printf("  %-8u %10.1f %12llu %12.0f %8.2fx %6llu %6zu\n", c.workers,
+    std::printf("  %-8u %10.1f %12llu %12.0f %10llu %8.2fx %6llu %6zu\n", c.workers,
                 c.wall_ms, static_cast<unsigned long long>(c.events),
-                c.events_per_sec(), speedup[i],
+                c.events_per_sec(), static_cast<unsigned long long>(c.kernel_events),
+                speedup[i],
                 static_cast<unsigned long long>(c.completed), c.violations);
   }
   identical = identical && total_violations == 0;
 
   const bool pass = identical && (!enforce_speedup || speedup[2] >= 2.0);
 
-  char buf[900];
+  char buf[1000];
   std::snprintf(
       buf, sizeof buf,
       "{\n  \"bench\": \"parallel_fleet\",\n"
       "  \"requests\": %llu,\n  \"devices\": %u,\n  \"seed\": %llu,\n"
       "  \"events_per_sec_1w\": %.0f,\n  \"events_per_sec_4w\": %.0f,\n"
+      "  \"kernel_events_1w\": %llu,\n  \"kernel_events_4w\": %llu,\n"
       "  \"speedup_2w\": %.3f,\n  \"speedup_4w\": %.3f,\n  \"speedup_8w\": %.3f,\n"
       "  \"identical_artifacts\": %s,\n  \"gate_speedup_4w_min\": 2.00,\n"
       "  \"pass\": %s,\n"
@@ -130,7 +136,9 @@ int main() {
       "\"wall_ms_8w\": %.1f}\n}\n",
       static_cast<unsigned long long>(kRequests), kDevices,
       static_cast<unsigned long long>(kSeed), ref.events_per_sec(),
-      cells[2].events_per_sec(), speedup[1], speedup[2], speedup[3],
+      cells[2].events_per_sec(), static_cast<unsigned long long>(ref.kernel_events),
+      static_cast<unsigned long long>(cells[2].kernel_events), speedup[1], speedup[2],
+      speedup[3],
       identical ? "true" : "false", pass ? "true" : "false", hw_threads,
       enforce_speedup ? "true" : "false", cells[0].wall_ms, cells[1].wall_ms,
       cells[2].wall_ms, cells[3].wall_ms);

@@ -1,6 +1,12 @@
 #include "analysis/replay.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
+
+#include "bitstream/generator.hpp"
+#include "core/system.hpp"
+#include "fault/injector.hpp"
 
 namespace uparc::analysis {
 namespace {
@@ -136,6 +142,184 @@ ReplayResult verify_parallel_replay(serve::ServeSoakConfig config) {
   diff_artifact(result.artifacts[4], a.telemetry_csv, b.telemetry_csv, result.report);
   diff_artifact(result.artifacts[5], a.alerts_json, b.alerts_json, result.report);
   diff_artifact(result.artifacts[6], a.flight_json, b.flight_json, result.report);
+  return result;
+}
+
+namespace {
+
+/// What one burst-oracle scenario run leaves behind.
+struct BurstRun {
+  std::string trace;
+  std::string metrics;
+  std::string rail;
+  std::string result;
+  u64 events = 0;
+  u64 inlined = 0;
+};
+
+[[nodiscard]] std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+[[nodiscard]] std::string describe(const ctrl::ReconfigResult& r) {
+  return "success=" + std::to_string(r.success) + " start=" + std::to_string(r.start.ps()) +
+         " duration=" + std::to_string(r.duration().ps()) + " energy_uj=" + exact(r.energy_uj) +
+         " bytes=" + std::to_string(r.payload_bytes) + " error=" + r.error + "\n";
+}
+
+/// Collects the artifacts of a finished scenario from its System.
+[[nodiscard]] BurstRun capture(core::System& sys, std::string result) {
+  BurstRun run;
+  run.result = std::move(result);
+  run.trace = sys.trace_json();
+  run.metrics = sys.metrics().render_json();
+  for (const power::RailStep& step : sys.rail()->steps()) {
+    run.rail += std::to_string(step.time.ps()) + " " + exact(step.total_mw) + "\n";
+  }
+  run.events = sys.sim().events_executed();
+  run.inlined = sys.sim().inlined_edges();
+  return run;
+}
+
+[[nodiscard]] bits::PartialBitstream burst_image(u64 seed, std::size_t bytes,
+                                                 bits::Device device = bits::kVirtex5Sx50t) {
+  bits::GeneratorConfig cfg;
+  cfg.device = device;
+  cfg.target_body_bytes = bytes;
+  cfg.seed = seed;
+  return bits::Generator(cfg).generate();
+}
+
+[[nodiscard]] core::SystemConfig traced(core::SystemConfig cfg = {}) {
+  cfg.trace = true;
+  return cfg;
+}
+
+/// Stages `bs` and reconfigures it at `mhz` on a traced System.
+[[nodiscard]] BurstRun plain_reconfig(const core::SystemConfig& cfg, double mhz,
+                                      const bits::PartialBitstream& bs, bool inline_edges) {
+  core::System sys(traced(cfg));
+  sys.sim().set_inline_edges(inline_edges);
+  std::string result;
+  if (mhz > 0.0) result += sys.set_frequency_blocking(Frequency::mhz(mhz)) ? "" : "no-lock ";
+  const Status staged = sys.stage(bs);
+  result += staged.ok() ? describe(sys.reconfigure_blocking()) : "stage failed\n";
+  return capture(sys, std::move(result));
+}
+
+/// Recovery under a spontaneous DCM lock loss in the middle of the first
+/// attempt's stream (the watchdog ends it), an ICAP abort in the second and
+/// a corrupted BRAM burst in the third; the fourth attempt completes.
+[[nodiscard]] BurstRun faulted_recovery(u64 seed, const bits::PartialBitstream& bs,
+                                        bool inline_edges) {
+  TimePs mid{};
+  {
+    core::System clean;
+    clean.sim().set_inline_edges(inline_edges);
+    const manager::RecoveryOutcome out = clean.run_recovery_blocking(bs);
+    if (!out.history.empty()) {
+      const ctrl::ReconfigResult& first = out.history.front().result;
+      mid = first.start + TimePs((first.end - first.start).ps() / 2);
+    }
+  }
+  core::System sys(traced());
+  sys.sim().set_inline_edges(inline_edges);
+  fault::FaultPlan plan;
+  plan.seed = seed;
+  const u64 reads_per_attempt = static_cast<u64>(bs.body.size()) + 1;
+  plan.arm(fault::FaultSite::kBramRead,
+           {.rate = 1.0, .after = reads_per_attempt * 6 / 5, .burst = 8, .max_fires = 1});
+  plan.arm(fault::FaultSite::kIcapAbort,
+           {.rate = 1.0, .after = reads_per_attempt, .max_fires = 1});
+  fault::FaultInjector inj(sys.sim(), "inj", plan);
+  inj.arm(sys.uparc(), sys.icap());
+  inj.schedule_lock_loss(sys.uparc().dyclogen().dcm(clocking::ClockId::kReconfig), mid);
+  const manager::RecoveryOutcome out = sys.run_recovery_blocking(bs);
+  std::string result = "success=" + std::to_string(out.success) +
+                       " attempts=" + std::to_string(out.attempts) +
+                       " watchdog=" + std::to_string(out.watchdog_fires) +
+                       " duration=" + std::to_string((out.end - out.start).ps()) +
+                       " energy_uj=" + exact(out.energy_uj) +
+                       " recovery_uj=" + exact(out.recovery_energy_uj) + "\n";
+  for (const manager::AttemptRecord& a : out.history) result += describe(a.result);
+  return capture(sys, std::move(result));
+}
+
+/// Two journaled loads of one image on a cached controller (a miss, then a
+/// hit), each readback-verified before commit.
+[[nodiscard]] BurstRun cached_txn(const bits::PartialBitstream& bs, bool inline_edges) {
+  core::SystemConfig cfg;
+  cfg.with_cache = true;
+  core::System sys(traced(cfg));
+  sys.sim().set_inline_edges(inline_edges);
+  std::string result;
+  for (int load = 0; load < 2; ++load) {
+    const txn::TxnOutcome out = sys.run_transaction_blocking("r0", "m0", bs);
+    result += "committed=" + std::to_string(out.committed) +
+              " tier=" + std::to_string(static_cast<int>(out.stage_cache_tier)) +
+              " verify_runs=" + std::to_string(out.verify_runs) +
+              " duration=" + std::to_string((out.end - out.start).ps()) +
+              " energy_uj=" + exact(out.energy_uj) + "\n";
+  }
+  return capture(sys, std::move(result));
+}
+
+}  // namespace
+
+ReplayResult verify_burst_replay(u64 seed) {
+  ReplayResult result;
+  result.scenario = "burst";
+  result.seed = seed;
+
+  struct Scenario {
+    std::string name;
+    std::function<BurstRun(bool)> run;
+  };
+  const bits::PartialBitstream big = burst_image(seed, 247 * 1024);
+  core::SystemConfig v6;
+  v6.uparc.device = bits::kVirtex6Lx240t;
+  const bits::PartialBitstream fig7 =
+      burst_image(seed, 216 * 1024 + 512, bits::kVirtex6Lx240t);
+  const bits::PartialBitstream compressed = burst_image(seed, 500 * 1024);
+  const bits::PartialBitstream small = burst_image(seed, 64 * 1024);
+
+  std::vector<Scenario> scenarios;
+  scenarios.push_back({"247kb", [&](bool on) { return plain_reconfig({}, 362.5, big, on); }});
+  for (const double mhz : {50.0, 100.0, 200.0, 300.0}) {
+    scenarios.push_back({"fig7-" + std::to_string(static_cast<int>(mhz)) + "mhz",
+                         [&, mhz](bool on) { return plain_reconfig(v6, mhz, fig7, on); }});
+  }
+  scenarios.push_back(
+      {"compressed-500kb", [&](bool on) { return plain_reconfig({}, 0.0, compressed, on); }});
+  scenarios.push_back(
+      {"faulted-recovery", [&](bool on) { return faulted_recovery(seed, small, on); }});
+  scenarios.push_back({"cached-txn", [&](bool on) { return cached_txn(small, on); }});
+
+  for (const Scenario& sc : scenarios) {
+    const BurstRun inl = sc.run(true);
+    const BurstRun ref = sc.run(false);
+    const std::string base = "burst/" + sc.name + "/";
+    const auto diff = [&](const std::string& what, const std::string& a, const std::string& b) {
+      result.artifacts.push_back(base + what);
+      diff_artifact(result.artifacts.back(), a, b, result.report);
+    };
+    diff("trace.json", inl.trace, ref.trace);
+    diff("metrics.json", inl.metrics, ref.metrics);
+    diff("rail.txt", inl.rail, ref.rail);
+    diff("result.txt", inl.result, ref.result);
+    // Every inlined edge stands for exactly one reference-path event.
+    diff("events.txt", std::to_string(inl.events + inl.inlined) + "\n",
+         std::to_string(ref.events) + "\n");
+    if (inl.inlined == 0 || ref.inlined != 0) {
+      result.report.error("det.replay.divergence", Location::file(base + "events.txt", 1),
+                          "inline edges were not exercised: " + std::to_string(inl.inlined) +
+                              " inlined with inlining on, " + std::to_string(ref.inlined) +
+                              " with it off",
+                          "the oracle compares the two clock paths only if both ran");
+    }
+  }
   return result;
 }
 

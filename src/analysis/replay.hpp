@@ -54,6 +54,17 @@ void diff_artifact(std::string_view name, std::string_view run1,
 /// "serve-parallel"). Telemetry is forced on like verify_serve_replay.
 [[nodiscard]] ReplayResult verify_parallel_replay(serve::ServeSoakConfig config);
 
+/// Inline-vs-cycle oracle (scenario "burst"): runs each System-level
+/// scenario once with inline clock edges and once with one kernel event per
+/// edge (Simulation::set_inline_edges(false)), and diffs the Chrome trace,
+/// the metrics JSON, the rail steps and the result's duration and energy.
+/// Scenarios: 247 KB at 362.5 MHz, the Fig. 7 frequencies, compressed
+/// 500 KB, a faulted run_recovery_blocking (BRAM-read, ICAP-abort and DCM
+/// lock-loss faults) and a cached transaction load with readback verify.
+/// Also checks that kernel events plus inlined edges with inlining on equal
+/// the kernel events with it off, and that inlining actually happened.
+[[nodiscard]] ReplayResult verify_burst_replay(u64 seed);
+
 /// Runs txn::run_soak(config) twice (trace forced on) and diffs
 /// journal/metrics/trace/summary.
 [[nodiscard]] ReplayResult verify_txn_replay(txn::SoakConfig config);

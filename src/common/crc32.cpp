@@ -1,6 +1,7 @@
 #include "common/crc32.hpp"
 
 #include <array>
+#include <cstddef>
 
 namespace uparc {
 namespace {
@@ -19,6 +20,23 @@ constexpr std::array<u32, 256> make_table() {
 
 constexpr auto kTable = make_table();
 
+// Slicing-by-4: kSliced[k][i] is the CRC state after byte i followed by k
+// zero bytes, so four bytes fold into the state with four lookups.
+constexpr std::array<std::array<u32, 256>, 4> make_sliced() {
+  std::array<std::array<u32, 256>, 4> t{};
+  t[0] = make_table();
+  for (std::size_t k = 1; k < 4; ++k) {
+    for (u32 i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  }
+  return t;
+}
+
+constexpr auto kSliced = make_sliced();
+
+constexpr u32 bswap32(u32 w) noexcept {
+  return (w >> 24) | ((w >> 8) & 0xFF00u) | ((w << 8) & 0xFF0000u) | (w << 24);
+}
+
 }  // namespace
 
 void Crc32::update(u8 byte) noexcept {
@@ -30,10 +48,11 @@ void Crc32::update(BytesView bytes) noexcept {
 }
 
 void Crc32::update_word(u32 word) noexcept {
-  update(static_cast<u8>(word >> 24));
-  update(static_cast<u8>(word >> 16));
-  update(static_cast<u8>(word >> 8));
-  update(static_cast<u8>(word));
+  // The reflected CRC consumes the word's big-endian bytes lowest lane
+  // first, which is the byte-swapped word.
+  const u32 x = state_ ^ bswap32(word);
+  state_ = kSliced[3][x & 0xFFu] ^ kSliced[2][(x >> 8) & 0xFFu] ^
+           kSliced[1][(x >> 16) & 0xFFu] ^ kSliced[0][x >> 24];
 }
 
 u32 crc32(BytesView bytes) noexcept {

@@ -11,9 +11,11 @@ class Crc32 {
  public:
   Crc32() = default;
 
+  /// Bytewise table step; the reference the word path is tested against.
   void update(u8 byte) noexcept;
   void update(BytesView bytes) noexcept;
-  /// Feeds a 32-bit word in big-endian byte order (bitstream word order).
+  /// Feeds a 32-bit word in big-endian byte order (bitstream word order),
+  /// four bytes per step through sliced tables; equals four update(u8).
   void update_word(u32 word) noexcept;
 
   [[nodiscard]] u32 value() const noexcept { return ~state_; }

@@ -999,6 +999,14 @@ u64 FrontEnd::fault_fires() const {
 
 u64 FrontEnd::fleet_events_executed() const {
   u64 total = 0;
+  for (const auto& d : devices_) {
+    total += d->system->sim().events_executed() + d->system->sim().inlined_edges();
+  }
+  return total;
+}
+
+u64 FrontEnd::fleet_kernel_events() const {
+  u64 total = 0;
   for (const auto& d : devices_) total += d->system->sim().events_executed();
   return total;
 }

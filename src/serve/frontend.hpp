@@ -197,9 +197,14 @@ class FrontEnd {
     return static_cast<unsigned>(devices_.size());
   }
   [[nodiscard]] u64 fault_fires() const;
-  /// Simulation events executed across the fleet (sum over device
-  /// kernels) — the throughput numerator for bench/parallel_fleet.
+  /// Simulation event equivalents across the fleet (sum over device
+  /// kernels of events plus inlined clock edges, i.e. the events the
+  /// one-event-per-edge path would run) — the throughput numerator for
+  /// bench/parallel_fleet, comparable across the inline-edge change.
   [[nodiscard]] u64 fleet_events_executed() const;
+  /// Kernel events actually dispatched across the fleet (inlined clock
+  /// edges excluded).
+  [[nodiscard]] u64 fleet_kernel_events() const;
   /// Controller restarts performed by the restart drill this run.
   [[nodiscard]] u64 restarts() const noexcept { return restarts_; }
   /// Health snapshots (txn::HealthTracker::render_json) per device.

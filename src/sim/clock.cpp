@@ -72,13 +72,23 @@ void Clock::schedule_tick() {
 }
 
 void Clock::tick() {
-  ++cycles_;
-  // Index-based iteration so handlers may subscribe or disable the clock
-  // mid-edge without invalidating the loop. Unsubscribing from inside a
-  // handler of the same clock is not supported (see header).
-  for (std::size_t i = 0; i < handlers_.size(); ++i) {
-    if (!running_) break;
-    handlers_[i].second();
+  for (;;) {
+    ++cycles_;
+    // Index-based iteration so handlers may subscribe or disable the clock
+    // mid-edge without invalidating the loop. Unsubscribing from inside a
+    // handler of the same clock is not supported (see header).
+    for (std::size_t i = 0; i < handlers_.size(); ++i) {
+      if (!running_) break;
+      handlers_[i].second();
+    }
+    // Deliver the next edge in this same event when nothing else can run
+    // before it; the kernel re-checks the queue, so events the handlers
+    // just scheduled are honoured. A tick already pending (the clock was
+    // gated off and on again mid-edge) keeps its own event.
+    if (!running_ || tick_pending_) break;
+    const TimePs next = sim_.now() + period();
+    if (!sim_.can_inline(next)) break;
+    sim_.advance_inline(next);
   }
   schedule_tick();
 }

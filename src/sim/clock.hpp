@@ -5,6 +5,12 @@
 // model); the new period takes effect from the next edge. Clocks are gated:
 // a disabled clock schedules no events, so an idle system drains the event
 // queue — this mirrors the EN gating in the paper's UReC.
+//
+// One kernel event delivers a burst of edges: after each edge the clock
+// asks the kernel whether the next one may run inline (it lies strictly
+// before every queued event and within the enclosing run's deadline and
+// budget) and otherwise schedules it as an event. Handlers see one call
+// per edge at that edge's time either way (see Simulation::can_inline).
 #pragma once
 
 #include <functional>

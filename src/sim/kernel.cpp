@@ -69,11 +69,21 @@ void Simulation::schedule_at(TimePs t, Action action) {
 bool Simulation::step() {
   check_owner_thread();
   if (queue_.empty()) return false;
+  dispatch(now_, 0);
+  return true;
+}
+
+u64 Simulation::dispatch(TimePs horizon, u64 room) {
+  check_owner_thread();
   Event ev = queue_.pop();  // moved out of the heap, no const_cast needed
   now_ = ev.time;
   ++executed_;
+  horizon_ = horizon;
+  inline_room_ = inline_edges_ ? room : 0;
+  const u64 inlined_before = inlined_;
   ev.action();
-  return true;
+  inline_room_ = 0;
+  return 1 + (inlined_ - inlined_before);
 }
 
 void Simulation::budget_exceeded(const char* which, u64 max_events) const {
@@ -83,12 +93,23 @@ void Simulation::budget_exceeded(const char* which, u64 max_events) const {
                            std::to_string(queue_.size()) + " events pending");
 }
 
+namespace {
+
+/// Edges one event may inline once `executed` of `max_events` are spent:
+/// the event itself takes one of the remaining slots.
+u64 inline_room(u64 executed, u64 max_events) {
+  return max_events > executed + 1 ? max_events - executed - 1 : 0;
+}
+
+}  // namespace
+
 void Simulation::run(u64 max_events) {
   u64 executed = 0;
-  while (step()) {
+  while (!queue_.empty()) {
+    executed += dispatch(TimePs(~u64{0}), inline_room(executed, max_events));
     // Over budget only when more work remains: a run that needs exactly
     // max_events events and then drains is legitimate, not runaway.
-    if (++executed >= max_events && !queue_.empty()) {
+    if (executed >= max_events && !queue_.empty()) {
       budget_exceeded("run", max_events);
     }
   }
@@ -97,8 +118,8 @@ void Simulation::run(u64 max_events) {
 void Simulation::run_until(TimePs deadline, u64 max_events) {
   u64 executed = 0;
   while (!queue_.empty() && queue_.top().time <= deadline) {
-    step();
-    if (++executed >= max_events && !queue_.empty() && queue_.top().time <= deadline) {
+    executed += dispatch(deadline, inline_room(executed, max_events));
+    if (executed >= max_events && !queue_.empty() && queue_.top().time <= deadline) {
       budget_exceeded("run_until", max_events);
     }
   }

@@ -9,6 +9,17 @@
 // FSM step per edge. Clocks only tick while enabled, mirroring the paper's
 // EN gating ("the EN signal deactivates the BRAM and ICAP access to save
 // power") and letting `run()` terminate when the system goes idle.
+//
+// Inline edges: inside run() and run_until(), a clock may deliver its next
+// rising edge within the event that delivered the previous one instead of
+// scheduling a new event, as long as that edge lies strictly before every
+// queued event and within the call's deadline and event budget (see
+// can_inline). Handlers still run once per edge at that edge's picosecond,
+// so the order of everything observable is the same as with one event per
+// edge; set_inline_edges(false) restores one event per edge as the
+// reference path. events_executed() counts kernel events only;
+// events_executed() + inlined_edges() equals the event count of the
+// reference path. step() never inlines.
 #pragma once
 
 #include <cstddef>
@@ -127,17 +138,42 @@ class Simulation {
   /// Schedules `action` `dt` after the current time.
   void schedule_in(TimePs dt, Action action) { schedule_at(now_ + dt, std::move(action)); }
 
-  /// Runs a single event; returns false when the queue is empty.
+  /// Runs a single event; returns false when the queue is empty. Never
+  /// inlines: a clock edge event delivers exactly one edge.
   bool step();
   /// Runs until the queue drains. Throws if the event budget is exceeded
-  /// (guards against accidentally free-running clocks). A run that needs
-  /// exactly `max_events` events and then drains is within budget.
+  /// (guards against accidentally free-running clocks). Inlined edges count
+  /// against the budget like events. A run that needs exactly `max_events`
+  /// events and then drains is within budget.
   void run(u64 max_events = kDefaultEventBudget);
-  /// Runs until simulated time reaches `deadline` or the queue drains.
+  /// Runs until simulated time reaches `deadline` or the queue drains. No
+  /// event or inlined edge runs past `deadline`.
   void run_until(TimePs deadline, u64 max_events = kDefaultEventBudget);
 
+  /// Kernel events run (inlined edges excluded).
   [[nodiscard]] u64 events_executed() const noexcept { return executed_; }
+  /// Clock edges delivered inside an already running event.
+  [[nodiscard]] u64 inlined_edges() const noexcept { return inlined_; }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
+
+  /// Turns edge inlining on (the default) or off. Off is the reference
+  /// path: one kernel event per clock edge.
+  void set_inline_edges(bool on) noexcept { inline_edges_ = on; }
+
+  /// True when a clock may deliver an edge at `t` inside the running event:
+  /// inlining is on, the enclosing run()/run_until() has budget left and
+  /// its deadline is not before `t`, and `t` is strictly before the
+  /// earliest queued event. Strict, because a queued event at `t` was
+  /// scheduled before the edge would have been and so runs first.
+  [[nodiscard]] bool can_inline(TimePs t) const noexcept {
+    return inline_room_ != 0 && t <= horizon_ && (queue_.empty() || t < queue_.top().time);
+  }
+  /// Moves time to an inlined edge at `t`; only valid after can_inline(t).
+  void advance_inline(TimePs t) noexcept {
+    now_ = t;
+    --inline_room_;
+    ++inlined_;
+  }
 
   /// Pre-sizes the event heap (parallel shards reserve once at pool start
   /// instead of growing the vector mid-epoch).
@@ -190,6 +226,10 @@ class Simulation {
   }
 
  private:
+  /// Pops and runs the earliest event, letting clocks inline up to `room`
+  /// more edges no later than `horizon`. Returns the events plus inlined
+  /// edges this cost.
+  u64 dispatch(TimePs horizon, u64 room);
   [[noreturn]] void budget_exceeded(const char* which, u64 max_events) const;
 
 #if UPARC_THREAD_GUARD
@@ -208,6 +248,11 @@ class Simulation {
   TimePs now_{};
   u64 seq_ = 0;
   u64 executed_ = 0;
+  u64 inlined_ = 0;
+  bool inline_edges_ = true;
+  // Inline limits of the event being dispatched; zero room outside one.
+  TimePs horizon_{};
+  u64 inline_room_ = 0;
 };
 
 }  // namespace uparc::sim

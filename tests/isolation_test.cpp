@@ -373,6 +373,17 @@ TEST(Replay, ServeSoakDoubleRunIsByteIdentical) {
   EXPECT_TRUE(res.identical()) << res.report.render_text();
 }
 
+TEST(Replay, InlineEdgesMatchOneEventPerEdge) {
+  // Burst oracle: every System-level scenario byte-matches the reference
+  // clock path, and inlined edges account for exactly the missing events.
+  for (const u64 seed : {u64{3}, u64{17}}) {
+    const analysis::ReplayResult res = analysis::verify_burst_replay(seed);
+    EXPECT_TRUE(res.identical()) << res.report.render_text();
+    EXPECT_EQ(res.scenario, "burst");
+    EXPECT_EQ(res.artifacts.size(), 8u * 5u);
+  }
+}
+
 TEST(Replay, ServeSoakReportFieldsMatchAcrossRuns) {
   serve::ServeSoakConfig cfg;
   cfg.seed = 9;

@@ -264,6 +264,195 @@ TEST(Clock, TwoDomainsInterleaveDeterministically) {
   EXPECT_EQ(sim.now().ps(), 100'000u);
 }
 
+// ----------------------------------------------------------- inline edges
+//
+// Every test below runs twice: with inline clock edges (the default) and
+// with one kernel event per edge (the reference path). Both must observe
+// the same edges at the same picoseconds in the same order.
+
+class InlineEdges : public ::testing::TestWithParam<bool> {
+ protected:
+  InlineEdges() { sim.set_inline_edges(GetParam()); }
+
+  /// Appends "<label>@<now>" to the log.
+  void note(const std::string& label) { log.push_back(label + "@" + std::to_string(sim.now().ps())); }
+
+  Simulation sim;
+  std::vector<std::string> log;
+};
+
+TEST_P(InlineEdges, ForeignEventAtAnEdgeRunsBeforeThatEdge) {
+  Clock clk(sim, "clk", Frequency::mhz(100));  // edges every 10 ns
+  clk.on_rising([&] {
+    note("edge");
+    if (clk.cycle_count() == 2) {
+      // Scheduled before edge 5's event would be: runs ahead of edge 5.
+      sim.schedule_at(TimePs(50'000), [&] { note("from-edge2"); });
+    }
+    if (clk.cycle_count() == 6) clk.disable();
+  });
+  sim.schedule_at(TimePs(30'000), [&] { note("queued"); });
+  // Scheduled between edges 4 and 5, after edge 5's event: runs after it.
+  sim.schedule_at(TimePs(45'000), [&] {
+    sim.schedule_at(TimePs(50'000), [&] { note("late"); });
+  });
+  clk.enable();
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"edge@10000", "edge@20000", "queued@30000",
+                                           "edge@30000", "edge@40000", "from-edge2@50000",
+                                           "edge@50000", "late@50000", "edge@60000"}));
+  EXPECT_EQ(sim.events_executed() + sim.inlined_edges(), 10u);  // 6 edges + 4 foreign
+}
+
+TEST_P(InlineEdges, HandlerEventForTheNextEdgeRunsFirst) {
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  clk.on_rising([&] {
+    note("edge");
+    if (clk.cycle_count() == 3) sim.schedule_in(clk.period(), [&] { note("next"); });
+    if (clk.cycle_count() == 2) sim.schedule_in(TimePs(0), [&] { note("now"); });
+    if (clk.cycle_count() == 5) clk.disable();
+  });
+  clk.enable();
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"edge@10000", "edge@20000", "now@20000",
+                                           "edge@30000", "next@40000", "edge@40000",
+                                           "edge@50000"}));
+  EXPECT_EQ(sim.inlined_edges() > 0, GetParam());
+}
+
+TEST_P(InlineEdges, RetuneAndGatingMidBurst) {
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  clk.on_rising([&] {
+    note("edge");
+    if (clk.cycle_count() == 2) clk.set_frequency(Frequency::mhz(200));  // 5 ns
+    if (clk.cycle_count() == 4) clk.set_supplied(false);                  // DCM unlocks
+    if (clk.cycle_count() == 6) clk.disable();
+  });
+  sim.schedule_at(TimePs(100'000), [&] { clk.set_supplied(true); });  // relocked
+  clk.enable();
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"edge@10000", "edge@20000", "edge@25000",
+                                           "edge@30000", "edge@105000", "edge@110000"}));
+  EXPECT_EQ(clk.cycle_count(), 6u);
+  EXPECT_EQ(clk.active_time().ps(), 30'000u + 10'000u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_executed() + sim.inlined_edges(), 7u);
+}
+
+TEST_P(InlineEdges, GateCycleInOneEdgeKeepsItsScheduledTick) {
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  clk.on_rising([&] {
+    note("edge");
+    if (clk.cycle_count() == 2) {
+      clk.disable();
+      clk.enable();                            // schedules the next edge at +10 ns
+      clk.set_frequency(Frequency::mhz(200));  // 5 ns from the edge after that
+    }
+    if (clk.cycle_count() == 4) clk.disable();
+  });
+  clk.enable();
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"edge@10000", "edge@20000", "edge@30000",
+                                           "edge@35000"}));
+}
+
+TEST_P(InlineEdges, RunUntilStopsExactlyAtTheDeadline) {
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  clk.on_rising([] {});
+  clk.enable();
+  sim.run_until(TimePs(50'000));  // on an edge: that edge runs
+  EXPECT_EQ(sim.now(), TimePs(50'000));
+  EXPECT_EQ(clk.cycle_count(), 5u);
+  sim.run_until(TimePs(75'000));  // between edges
+  EXPECT_EQ(sim.now(), TimePs(75'000));
+  EXPECT_EQ(clk.cycle_count(), 7u);
+  sim.run_until(TimePs(79'999));  // just short of the next edge
+  EXPECT_EQ(clk.cycle_count(), 7u);
+  sim.run_until(TimePs(80'000));
+  EXPECT_EQ(clk.cycle_count(), 8u);
+  EXPECT_EQ(sim.pending_events(), 1u);  // edge 9, past every deadline so far
+  EXPECT_EQ(sim.events_executed() + sim.inlined_edges(), 8u);
+  EXPECT_EQ(sim.inlined_edges() > 0, GetParam());
+}
+
+TEST_P(InlineEdges, FreeRunningClockStillExhaustsTheBudget) {
+  {
+    Clock clk(sim, "clk", Frequency::mhz(100));
+    clk.on_rising([] {});
+    clk.enable();
+    EXPECT_THROW(sim.run(1000), std::runtime_error);
+    // Inlined edges count like events: the budget stops at edge 1000.
+    EXPECT_EQ(clk.cycle_count(), 1000u);
+    EXPECT_EQ(sim.now(), TimePs(1000 * 10'000));
+    clk.disable();
+  }
+  Simulation other;
+  other.set_inline_edges(GetParam());
+  Clock clk(other, "clk", Frequency::mhz(100));
+  clk.on_rising([] {});
+  clk.enable();
+  EXPECT_THROW(other.run_until(TimePs::from_ms(1), 1000), std::runtime_error);
+  EXPECT_EQ(clk.cycle_count(), 1000u);
+  EXPECT_EQ(other.now(), TimePs(1000 * 10'000));
+}
+
+TEST_P(InlineEdges, ExactBudgetWithSelfDisablingClockDoesNotThrow) {
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  clk.on_rising([&] {
+    if (clk.cycle_count() == 5) clk.disable();
+  });
+  clk.enable();
+  EXPECT_NO_THROW(sim.run(5));
+  EXPECT_EQ(clk.cycle_count(), 5u);
+}
+
+TEST_P(InlineEdges, StepDeliversExactlyOneEdge) {
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  clk.on_rising([&] { note("edge"); });
+  clk.enable();
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(clk.cycle_count(), 1u);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(clk.cycle_count(), 2u);
+  EXPECT_EQ(sim.now(), TimePs(20'000));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.inlined_edges(), 0u);
+  EXPECT_EQ(log, (std::vector<std::string>{"edge@10000", "edge@20000"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sim, InlineEdges, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("Inline") : std::string("PerEdge");
+                         });
+
+TEST(InlineEdgesOracle, TwoDomainsInterleaveIdentically) {
+  // Two unrelated periods, one retuned mid-run: the edge log and the event
+  // equivalents must match between the two clock paths.
+  const auto run = [](bool inline_edges) {
+    Simulation sim;
+    sim.set_inline_edges(inline_edges);
+    std::vector<std::string> log;
+    Clock fast(sim, "fast", Frequency::mhz(300));  // 3333 ps
+    Clock slow(sim, "slow", Frequency::mhz(70));   // 14286 ps
+    fast.on_rising([&] {
+      log.push_back("f@" + std::to_string(sim.now().ps()));
+      if (fast.cycle_count() == 30) fast.disable();
+    });
+    slow.on_rising([&] {
+      log.push_back("s@" + std::to_string(sim.now().ps()));
+      if (slow.cycle_count() == 3) fast.set_frequency(Frequency::mhz(125));
+      if (slow.cycle_count() == 6) slow.disable();
+    });
+    fast.enable();
+    slow.enable();
+    sim.run();
+    return std::pair{log, sim.events_executed() + sim.inlined_edges()};
+  };
+  const auto reference = run(false);
+  ASSERT_EQ(reference.first.size(), 36u);
+  EXPECT_EQ(run(true), reference);
+}
+
 TEST(Fifo, PushPopOrder) {
   Fifo<u32> f("f", 4);
   f.push(1);

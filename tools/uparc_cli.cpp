@@ -11,7 +11,7 @@
 //   uparc_cli sweep    f.bit
 //   uparc_cli lint     f.bit|f.uparc [--json] [--model] [--device v5|v6]
 //   uparc_cli lint     --isolation [--devices N] [--regions N] [--modules N]
-//   uparc_cli verify-determinism [--scenario serve|soak|crash|all] [--seeds N]
+//   uparc_cli verify-determinism [--scenario serve|soak|crash|burst|all] [--seeds N]
 //                      [--seed S] [--requests N] [--txns N] [--json]
 //   uparc_cli wal      f.wal [--json]
 //   uparc_cli crash-soak [--ops N] [--seed S] [--regions N] [--modules N]
@@ -991,9 +991,9 @@ int cmd_crash_soak(const Args& a) {
 int cmd_verify_determinism(const Args& a) {
   const std::string scenario = a.get("scenario", "all");
   if (scenario != "all" && scenario != "serve" && scenario != "soak" &&
-      scenario != "crash") {
+      scenario != "crash" && scenario != "burst") {
     std::fprintf(stderr,
-                 "verify-determinism: --scenario must be serve, soak, crash or all\n");
+                 "verify-determinism: --scenario must be serve, soak, crash, burst or all\n");
     return 2;
   }
   const unsigned seeds = static_cast<unsigned>(a.get_num("seeds", 1));
@@ -1028,6 +1028,10 @@ int cmd_verify_determinism(const Args& a) {
       cfg.max_crash_points = static_cast<unsigned>(a.get_num("max-points", 8));
       cfg.sweep_corruptions = a.get_num("corruptions", 1) != 0;
       results.push_back(analysis::verify_crash_replay(cfg));
+    }
+    if (scenario == "all" || scenario == "burst") {
+      // Inline clock edges vs one kernel event per edge.
+      results.push_back(analysis::verify_burst_replay(seed));
     }
   }
 
@@ -1069,8 +1073,9 @@ void usage(std::FILE* to) {
       "           over a serving fleet; no input file needed\n"
       "  verify-determinism  run a seeded scenario twice, byte-diff every\n"
       "           artifact (journal/metrics/trace/health); exits non-zero\n"
-      "           on any divergence (rule det.replay.divergence)\n"
-      "           [--scenario serve|soak|crash|all] [--seeds N] [--seed S]\n"
+      "           on any divergence (rule det.replay.divergence); burst\n"
+      "           runs inline clock edges against one event per edge\n"
+      "           [--scenario serve|soak|crash|burst|all] [--seeds N] [--seed S]\n"
       "           [--requests N] [--txns N] [--devices N] [--json]\n"
       "  trace    f.bit [--out trace.json] [--mhz F] [--metrics] [--json]\n"
       "           [--scrub-rounds N] [--seed S]\n"
