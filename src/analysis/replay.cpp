@@ -91,6 +91,26 @@ std::string ReplayResult::summary() const {
   return out;
 }
 
+namespace {
+
+/// Diffs the seven serve artifacts of two soaks, named `prefix` + file.
+void diff_serve_artifacts(const std::string& prefix, const serve::ServeSoakReport& a,
+                          const serve::ServeSoakReport& b, ReplayResult& result) {
+  const auto diff = [&](const char* name, std::string_view run1, std::string_view run2) {
+    result.artifacts.push_back(prefix + name);
+    diff_artifact(result.artifacts.back(), run1, run2, result.report);
+  };
+  diff("metrics.json", a.metrics_json, b.metrics_json);
+  diff("health.json", a.health_json, b.health_json);
+  diff("summary.txt", a.summary(), b.summary());
+  diff("telemetry.json", a.telemetry_json, b.telemetry_json);
+  diff("telemetry.csv", a.telemetry_csv, b.telemetry_csv);
+  diff("alerts.json", a.alerts_json, b.alerts_json);
+  diff("flight.json", a.flight_json, b.flight_json);
+}
+
+}  // namespace
+
 ReplayResult verify_serve_replay(serve::ServeSoakConfig config) {
   // The observability surfaces are part of the determinism contract:
   // telemetry rings, the alert log and the flight-recorder post-mortem
@@ -103,24 +123,16 @@ ReplayResult verify_serve_replay(serve::ServeSoakConfig config) {
   result.seed = config.seed;
   const serve::ServeSoakReport a = serve::run_soak(config);
   const serve::ServeSoakReport b = serve::run_soak(config);
-  result.artifacts = {"serve/metrics.json",   "serve/health.json", "serve/summary.txt",
-                      "serve/telemetry.json", "serve/telemetry.csv", "serve/alerts.json",
-                      "serve/flight.json"};
-  diff_artifact(result.artifacts[0], a.metrics_json, b.metrics_json, result.report);
-  diff_artifact(result.artifacts[1], a.health_json, b.health_json, result.report);
-  diff_artifact(result.artifacts[2], a.summary(), b.summary(), result.report);
-  diff_artifact(result.artifacts[3], a.telemetry_json, b.telemetry_json, result.report);
-  diff_artifact(result.artifacts[4], a.telemetry_csv, b.telemetry_csv, result.report);
-  diff_artifact(result.artifacts[5], a.alerts_json, b.alerts_json, result.report);
-  diff_artifact(result.artifacts[6], a.flight_json, b.flight_json, result.report);
+  diff_serve_artifacts("serve/", a, b, result);
   return result;
 }
 
 ReplayResult verify_parallel_replay(serve::ServeSoakConfig config) {
-  // Worker-count invariance for the sharded executor: the SAME scenario on
-  // 1 worker vs 4 workers must produce byte-identical artifacts. This is a
-  // stronger claim than run-to-run replay — it proves thread scheduling
-  // never reaches simulated results.
+  // Worker-count invariance for the sharded executor: the SAME scenario
+  // inline (0 workers) and on 4 workers must produce artifacts
+  // byte-identical to the 1-worker run. This is a stronger claim than
+  // run-to-run replay — it proves thread scheduling never reaches
+  // simulated results.
   if (config.telemetry_interval.ps() == 0) {
     config.telemetry_interval = TimePs::from_us(250);
   }
@@ -128,20 +140,12 @@ ReplayResult verify_parallel_replay(serve::ServeSoakConfig config) {
   result.scenario = "serve-parallel";
   result.seed = config.seed;
   config.workers = 1;
-  const serve::ServeSoakReport a = serve::run_soak(config);
-  config.workers = 4;
-  const serve::ServeSoakReport b = serve::run_soak(config);
-  result.artifacts = {"serve-parallel/metrics.json",   "serve-parallel/health.json",
-                      "serve-parallel/summary.txt",    "serve-parallel/telemetry.json",
-                      "serve-parallel/telemetry.csv",  "serve-parallel/alerts.json",
-                      "serve-parallel/flight.json"};
-  diff_artifact(result.artifacts[0], a.metrics_json, b.metrics_json, result.report);
-  diff_artifact(result.artifacts[1], a.health_json, b.health_json, result.report);
-  diff_artifact(result.artifacts[2], a.summary(), b.summary(), result.report);
-  diff_artifact(result.artifacts[3], a.telemetry_json, b.telemetry_json, result.report);
-  diff_artifact(result.artifacts[4], a.telemetry_csv, b.telemetry_csv, result.report);
-  diff_artifact(result.artifacts[5], a.alerts_json, b.alerts_json, result.report);
-  diff_artifact(result.artifacts[6], a.flight_json, b.flight_json, result.report);
+  const serve::ServeSoakReport reference = serve::run_soak(config);
+  for (const unsigned workers : {0u, 4u}) {
+    config.workers = workers;
+    diff_serve_artifacts("serve-parallel/w" + std::to_string(workers) + "/", reference,
+                         serve::run_soak(config), result);
+  }
   return result;
 }
 

@@ -48,10 +48,12 @@ void diff_artifact(std::string_view name, std::string_view run1,
 [[nodiscard]] ReplayResult verify_serve_replay(serve::ServeSoakConfig config);
 
 /// Worker-count invariance check for the sharded parallel executor: runs
-/// serve::run_soak(config) once with workers=1 and once with workers=4 and
-/// diffs the same seven artifacts as verify_serve_replay. Divergence means
-/// thread scheduling leaked into simulated results (scenario
-/// "serve-parallel"). Telemetry is forced on like verify_serve_replay.
+/// serve::run_soak(config) with workers=1 as the reference, then with
+/// workers=0 (inline) and workers=4, and diffs each against the reference
+/// on the same seven artifacts as verify_serve_replay (14 diffs, named
+/// "serve-parallel/w<N>/..."). Divergence means thread scheduling or the
+/// inline path leaked into simulated results (scenario "serve-parallel").
+/// Telemetry is forced on like verify_serve_replay.
 [[nodiscard]] ReplayResult verify_parallel_replay(serve::ServeSoakConfig config);
 
 /// Inline-vs-cycle oracle (scenario "burst"): runs each System-level

@@ -24,7 +24,6 @@ std::optional<MdChoice> DyCloGen::request_frequency(ClockId id, Frequency target
   const std::string gauge_name =
       name() + ".clk" + std::to_string(index(id) + 1) + "_mhz";
   if (dcm.locked() && dcm.m() == choice->m && dcm.d() == choice->d) {
-    stats().add("retunes_skipped");
     metrics().counter(name() + ".retunes_skipped").add();
     metrics().gauge(gauge_name).set(frequency(id).in_mhz());
     if (done) done();
@@ -41,7 +40,6 @@ std::optional<MdChoice> DyCloGen::request_frequency(ClockId id, Frequency target
   (void)drp_->write(icap::Dcm::kRegM, static_cast<u16>(choice->m - 1));
   (void)drp_->write(icap::Dcm::kRegD, static_cast<u16>(choice->d - 1));
   (void)drp_->write(icap::Dcm::kRegStatus, 0x2);
-  stats().add("retunes");
   metrics().counter(name() + ".retunes").add();
   return choice;
 }

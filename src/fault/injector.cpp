@@ -41,7 +41,6 @@ bool FaultInjector::should_fire(FaultSite site) {
   if (st.burst_left > 0) {
     --st.burst_left;
     ++st.fires;
-    stats().add(to_string(site));
     metrics().counter(name() + ".fires." + to_string(site)).add();
     return true;
   }
@@ -50,7 +49,6 @@ bool FaultInjector::should_fire(FaultSite site) {
   if (!st.prng.chance(cfg.rate)) return false;
   ++st.fires;
   st.burst_left = cfg.burst > 0 ? cfg.burst - 1 : 0;
-  stats().add(to_string(site));
   metrics().counter(name() + ".fires." + to_string(site)).add();
   return true;
 }
@@ -126,10 +124,7 @@ void FaultInjector::arm_icap(icap::Icap& icap) {
 }
 
 void FaultInjector::schedule_lock_loss(icap::Dcm& dcm, TimePs at) {
-  sim_.schedule_at(at, [this, &dcm] {
-    dcm.drop_lock();
-    stats().add("lock_losses_scheduled");
-  });
+  sim_.schedule_at(at, [&dcm] { dcm.drop_lock(); });
 }
 
 }  // namespace uparc::fault

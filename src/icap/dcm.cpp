@@ -58,7 +58,6 @@ void Dcm::drop_lock() {
   if (!locked_) return;
   locked_ = false;
   output_.set_supplied(false);
-  stats().add("lock_losses");
   metrics().counter(name() + ".lock_losses").add();
   if (obs::Tracer* tr = tracer()) tr->instant("dcm.lock_lost", "clocking");
 }
@@ -78,7 +77,6 @@ void Dcm::start_relock() {
     if (epoch != relock_epoch_) return;  // superseded by a newer program()
     obs::Tracer* tr = tracer();
     if (lock_fault_ && lock_fault_()) {
-      stats().add("lock_faults");
       metrics().counter(name() + ".lock_faults").add();
       if (tr != nullptr) {
         tr->arg(relock_span_, "outcome", "fault");

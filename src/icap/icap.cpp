@@ -67,7 +67,6 @@ void Icap::fail(std::string why, ErrorCause cause) {
   rcfg_active_ = false;
   wcfg_active_ = false;
   reading_fdro_ = false;
-  stats().add("errors");
   metrics().counter(name() + ".errors").add();
   close_burst_span("error");
 }
@@ -121,7 +120,6 @@ void Icap::handle_payload_word(u32 word) {
   if (current_reg_ == bits::ConfigReg::kCrc) {
     crc_checked_ = true;
     crc_ok_ = (word == crc_.value());
-    if (!crc_ok_) stats().add("crc_mismatches");
   }
   crc_.write(current_reg_, word);
 

@@ -9,7 +9,6 @@ MicroBlaze::MicroBlaze(sim::Simulation& sim, std::string name, Frequency f,
 void MicroBlaze::execute(u64 n, std::function<void()> done) {
   const TimePs t = cycles(n);
   busy_ += t;
-  stats().add("cycles", static_cast<double>(n));
   sim_.schedule_in(t, std::move(done));
 }
 

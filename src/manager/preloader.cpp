@@ -27,7 +27,6 @@ Status Preloader::store_impl(bool compressed, WordsView payload, u64 extra_cycle
   if (truncate_tap_) {
     copied = std::min(truncate_tap_(payload.size()), payload.size());
     if (copied < payload.size()) {
-      stats().add("truncated_preloads");
       metrics().counter(name() + ".truncated").add();
     }
   }
@@ -46,7 +45,6 @@ Status Preloader::store_impl(bool compressed, WordsView payload, u64 extra_cycle
   // Post-truncation accounting reports what actually landed; the advertised
   // length is tracked separately so a torn copy shows up as the gap between
   // .requested_words and .words.
-  stats().add("words_preloaded", static_cast<double>(copied + 1));
   metrics().counter(name() + ".preloads").add();
   metrics().counter(name() + ".words").add(static_cast<double>(copied + 1));
   metrics().counter(name() + ".requested_words").add(static_cast<double>(payload.size() + 1));
@@ -81,7 +79,6 @@ Status Preloader::preload_cached(bool compressed, WordsView payload, u64 copy_cy
   Status st = store_impl(compressed, payload, 0, static_cast<i64>(copy_cycles),
                          std::move(done));
   if (st.ok()) {
-    stats().add("cached_preloads");
     metrics().counter(name() + ".cached_preloads").add();
   }
   return st;

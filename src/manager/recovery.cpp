@@ -43,7 +43,6 @@ void RecoveryManager::run(const bits::PartialBitstream& bs,
 
 void RecoveryManager::begin_attempt() {
   ++attempt_;
-  stats().add("attempts");
   metrics().counter(name() + ".attempts").add();
   attempt_freq_ = uparc_.dyclogen().frequency(clocking::ClockId::kReconfig);
   if (obs::Tracer* tr = tracer()) {
@@ -122,7 +121,6 @@ void RecoveryManager::perform_after_backoff(RecoveryAction action, ErrorCause ca
   }
   ++outcome_.backoffs;
   outcome_.backoff_total = outcome_.backoff_total + delay;
-  stats().add("backoffs");
   metrics().counter(name() + ".backoffs").add();
   metrics().counter(name() + ".backoff_us").add(delay.us());
   obs::SpanId span = obs::kNoSpan;
@@ -150,7 +148,6 @@ void RecoveryManager::arm_watchdog(TimePs budget) {
 
 void RecoveryManager::on_watchdog() {
   ++outcome_.watchdog_fires;
-  stats().add("watchdog_fires");
   metrics().counter(name() + ".watchdog_fires").add();
   if (obs::Tracer* tr = tracer()) tr->instant("recovery.watchdog", "recovery");
   if (uparc_.urec().busy()) {
@@ -206,7 +203,6 @@ void RecoveryManager::on_result(const ctrl::ReconfigResult& r) {
   outcome_.history.push_back({static_cast<unsigned>(outcome_.history.size() + 1), r, action,
                               attempt_freq_});
   if (action != RecoveryAction::kNone) {
-    stats().add(std::string("action_") + to_string(action));
     metrics().counter(name() + ".action." + to_string(action)).add();
   }
   if (!r.success) {
@@ -293,7 +289,6 @@ void RecoveryManager::finish(const ctrl::ReconfigResult& last) {
         outcome_.history.size() > 1 ? rail_->energy_uj(first_attempt_end_, outcome_.end)
                                     : 0.0;
   }
-  stats().set("last_attempts", static_cast<double>(outcome_.attempts));
   metrics().counter(name() + (outcome_.success ? ".successes" : ".giveups")).add();
   metrics().histogram(name() + ".attempts_per_run", {1, 2, 3, 4, 6, 8})
       .observe(static_cast<double>(outcome_.attempts));

@@ -29,14 +29,7 @@ unsigned Ddr2::read_burst(std::size_t word_addr, std::size_t count, Words& out) 
   if (word_addr + count > words_.size()) {
     throw std::out_of_range("Ddr2 read out of range: " + name());
   }
-  unsigned cycles = 0;
-  if (stall_tap_) {
-    const unsigned stall = stall_tap_();
-    if (stall > 0) {
-      cycles += stall;
-      stats().add("injected_stall_cycles", stall);
-    }
-  }
+  unsigned cycles = stall_tap_ ? stall_tap_() : 0;
   std::size_t remaining = count;
   std::size_t addr = word_addr;
   while (remaining > 0) {

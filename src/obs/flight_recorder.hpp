@@ -79,8 +79,8 @@ class FlightRecorder {
   void trigger(const std::string& shard, TimePs t, const std::string& reason);
 
   /// Counts a failure that was recorded elsewhere and whose events have
-  /// already been copied into this recorder's rings — the parallel serve
-  /// path records into per-device staging recorders and drains them at
+  /// already been copied into this recorder's rings — the serve front end
+  /// records into per-device staging recorders and drains them at
   /// barrier epochs, so the "trigger" error event arrives via the event
   /// copy and only the latch/count must be replayed here. First adoption
   /// freezes the post-mortem exactly like trigger(); later ones only count.

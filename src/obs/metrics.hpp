@@ -1,8 +1,8 @@
 // Metrics registry: counters, gauges, fixed-bucket histograms and
 // throughput meters, rendered as stable text or JSON reports.
 //
-// This is the structured successor of the ad-hoc sim::Stats counter maps:
-// one registry per Simulation, names namespaced by module
+// This is the simulator's one counter system: one registry per
+// Simulation, names namespaced by module
 // ("uparc.preloader.words", "icap.frames", ...). Instruments are created
 // on first use and the returned references stay valid for the registry's
 // lifetime (node-stable map), so hot paths cache the pointer once and pay

@@ -28,7 +28,6 @@ Status RegionManager::evict(const std::string& region_name) {
 void RegionManager::load(const std::string& module, const std::string& region_name,
                          LoadCallback done) {
   queue_.push_back(PendingLoad{module, region_name, sim_.now(), std::move(done)});
-  stats().add("loads_requested");
   pump();
 }
 
@@ -36,7 +35,6 @@ void RegionManager::load_any(const std::string& module, LoadCallback done) {
   // Empty region = route when the load reaches the head of the queue, so
   // the decision sees the freshest occupancy and health state.
   queue_.push_back(PendingLoad{module, "", sim_.now(), std::move(done)});
-  stats().add("loads_requested");
   pump();
 }
 
@@ -114,7 +112,6 @@ void RegionManager::pump() {
       result.software_fallback = true;
       result.error = choice.reason;
       ++software_fallbacks_;
-      stats().add("software_fallbacks");
       metrics().counter(name() + ".software_fallbacks").add();
       finish(std::move(job), std::move(result));
       return;

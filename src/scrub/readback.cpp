@@ -98,7 +98,6 @@ void Readback::finish() {
   report_.duration = sim_.now() - started_at_;
   auto done = std::move(done_);
   done_ = nullptr;
-  stats().add("words_read", static_cast<double>(report_.words_read));
   metrics().counter(name() + ".scans").add();
   metrics().counter(name() + ".words_read").add(static_cast<double>(report_.words_read));
   if (!report_.mismatches.empty()) {

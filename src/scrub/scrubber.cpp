@@ -31,7 +31,6 @@ void Scrubber::schedule_next() {
   sim_.schedule_in(config_.period, [this, epoch] {
     if (epoch != epoch_ || !running_) return;
     if (round_in_flight_) {  // previous round overran the period: skip
-      stats().add("rounds_skipped");
       metrics().counter(name() + ".rounds_skipped").add();
       schedule_next();
       return;

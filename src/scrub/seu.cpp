@@ -41,7 +41,6 @@ SeuEvent SeuInjector::inject_now() {
   data[ev.word_index] ^= 1u << ev.bit_index;
   plane_.write_frame(addr, data);
   log_.push_back(ev);
-  stats().add("upsets");
   metrics().counter(name() + ".injected").add();
   return ev;
 }

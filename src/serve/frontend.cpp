@@ -108,16 +108,12 @@ std::unique_ptr<FrontEnd::Device> FrontEnd::make_device(unsigned index) {
   dev->manager->set_transaction_manager(dev->txn.get());
   // Transaction terminals land on the device's black-box shard (stamped
   // with the device sim clock — each shard records in its own clock
-  // domain); a kFailed transaction trips the post-mortem. On the parallel
-  // path they record into a per-device staging recorder (the worker must
-  // not touch the shared one) that drain_staging() merges at each barrier.
-  if (config_.workers > 0) {
-    dev->staging = std::make_unique<obs::FlightRecorder>(flight_.config());
-    dev->txn->set_flight_recorder(dev->staging.get(),
-                                  device_shard(static_cast<int>(index)) + "/txn");
-  } else {
-    dev->txn->set_flight_recorder(&flight_, device_shard(static_cast<int>(index)) + "/txn");
-  }
+  // domain); a kFailed transaction trips the post-mortem. They record into
+  // a per-device staging recorder (shard code must not touch the shared
+  // one) that drain_staging() merges at each barrier.
+  dev->staging = std::make_unique<obs::FlightRecorder>(flight_.config());
+  dev->txn->set_flight_recorder(dev->staging.get(),
+                                device_shard(static_cast<int>(index)) + "/txn");
   // Per-device fault stream; armed after calibration (see calibrate()).
   dev->injector = std::make_unique<fault::FaultInjector>(
       sim, "chaos", chaos_plan(config_.seed + index, config_.fault_scale));
@@ -149,14 +145,11 @@ void FrontEnd::build_devices() {
 void FrontEnd::restart_device(int device_index) {
   Device& old = *devices_[device_index];
   const sim::ShardId shard = old.shard;
-  if (executor_ != nullptr) {
-    // Pull the shard back to the coordinator (solo handoff epoch, audited
-    // by iso.shard.handoff) and take the old controller's last staging
-    // flight events before it is torn down.
-    executor_->acquire(shard);
-    drain_staging();
-  }
-  sync_device(old);
+  // Pull the shard back to the coordinator (solo handoff epoch, audited by
+  // iso.shard.handoff) and take the old controller's last staging flight
+  // events before it is torn down.
+  executor_->acquire(shard);
+  drain_staging();
   const Bytes wal_bytes = old.wal->storage().read_all();
   const std::string breaker_snapshot = old.breaker.to_json();
   const u64 loads = old.loads;
@@ -204,14 +197,11 @@ void FrontEnd::restart_device(int device_index) {
                "loads=" + std::to_string(loads) +
                    " wal_records=" + std::to_string(report.records_scanned) +
                    " regions=" + std::to_string(report.regions.size()));
+  // Hand the recovered kernel to the shard's worker; release() also clears
+  // any wedge the old kernel left behind.
+  fresh->shard = shard;
+  executor_->release(shard, &fresh->system->sim());
   devices_[static_cast<std::size_t>(device_index)] = std::move(fresh);
-  if (executor_ != nullptr) {
-    // Hand the recovered kernel to the shard's worker; release() also
-    // clears any wedge the old kernel left behind.
-    Device& d = *devices_[device_index];
-    d.shard = shard;
-    executor_->release(shard, &d.system->sim());
-  }
 }
 
 analysis::Report FrontEnd::lint_isolation() const {
@@ -283,8 +273,7 @@ void FrontEnd::enable_telemetry(obs::TelemetryConfig telemetry_config,
       const std::vector<obs::Label> dev{{"device", device_shard(static_cast<int>(i))}};
       metrics_.gauge(obs::labeled_name("serve.breaker_open", dev))
           .set(d.breaker.open ? 1.0 : 0.0);
-      metrics_.gauge(obs::labeled_name("serve.busy", dev))
-          .set(d.busy_until > now_ ? 1.0 : 0.0);
+      metrics_.gauge(obs::labeled_name("serve.busy", dev)).set(d.in_flight ? 1.0 : 0.0);
     }
   });
   slo_ = std::make_unique<obs::SloEngine>(slo_policy);
@@ -320,17 +309,7 @@ void FrontEnd::note_alerts() {
 }
 
 void FrontEnd::schedule(TimePs at, std::function<void()> fn) {
-  events_.push(Event{std::max(at, now_), event_seq_++, std::move(fn)});
-}
-
-void FrontEnd::sync_device(Device& d) {
-  // Parallel path: device clocks are advanced by advance_fleet() epochs
-  // (the worker owns the kernel; touching it here would trip the
-  // owner-thread guard). Every shard is already at base + epoch horizon,
-  // which is >= base + now_.
-  if (executor_ != nullptr) return;
-  const TimePs dev_t = d.base + now_;
-  if (dev_t > d.system->sim().now()) d.system->sim().run_until(dev_t);
+  events_.push(sim::Event{std::max(at, now_), event_seq_++, std::move(fn)});
 }
 
 TimePs FrontEnd::estimate_cost(const std::string& module) const {
@@ -353,7 +332,6 @@ bool FrontEnd::device_usable(Device& d, int device_index) {
     flight_.info(device_shard(device_index), now_, "breaker", "breaker-half-open",
                  "opens=" + std::to_string(d.breaker.opens));
   }
-  sync_device(d);
   for (const region::Region& r : d.manager->floorplan().regions()) {
     if (d.txn->health().schedulable(r.name)) return true;
   }
@@ -364,7 +342,7 @@ int FrontEnd::pick_device(int exclude) {
   int best = -1;
   for (int i = 0; i < static_cast<int>(devices_.size()); ++i) {
     if (i == exclude && devices_.size() > 1) continue;
-    if (devices_[i]->in_flight || devices_[i]->busy_until > now_) continue;
+    if (devices_[i]->in_flight) continue;
     // Restart drill: an idle device past its load quota is cold-restarted
     // here, before usability is judged on the recovered controller.
     if (config_.restart_after_loads > 0 && !devices_[i]->restarted &&
@@ -541,10 +519,7 @@ void FrontEnd::try_dispatch() {
   while (!queues_.empty()) {
     // Peek-free loop: find a device first so a popped request is always
     // dispatchable (or deliberately sent to software).
-    bool any_busy = false;
-    for (auto& d : devices_) {
-      if (d->in_flight || d->busy_until > now_) any_busy = true;
-    }
+    const bool any_busy = any_in_flight();
     std::vector<Request> expired;
     const int device_index = pick_device(-1);
     if (device_index < 0) {
@@ -565,7 +540,7 @@ void FrontEnd::try_dispatch() {
     if (r->attempts > 0 && r->last_device == device_index && devices_.size() > 1) {
       const int other = pick_device(device_index);
       if (other >= 0) {
-        dispatch(std::move(*r), *devices_[other], other);
+        dispatch(std::move(*r), other);
         continue;
       }
       if (any_busy) {
@@ -582,7 +557,7 @@ void FrontEnd::try_dispatch() {
       run_software(std::move(*r));
       continue;
     }
-    dispatch(std::move(*r), *devices_[device_index], device_index);
+    dispatch(std::move(*r), device_index);
   }
 }
 
@@ -598,74 +573,7 @@ bool FrontEnd::any_in_flight() const {
   return false;
 }
 
-void FrontEnd::dispatch(Request r, Device& d, int device_index) {
-  if (executor_ != nullptr) {
-    dispatch_async(std::move(r), device_index);
-    return;
-  }
-  sync_device(d);
-  sim::Simulation& sim = d.system->sim();
-  const TimePs t0 = sim.now();
-  metrics_.histogram("serve.queue_wait_us" + class_suffix(r.qos),
-                     obs::Histogram::latency_bounds_us())
-      .observe((now_ - r.admitted).us());
-
-  ++r.attempts;
-  r.last_device = device_index;
-  ++d.loads;
-
-  std::optional<region::LoadResult> got;
-  d.manager->load_any(r.module, [&](const region::LoadResult& res) { got = res; });
-  bool aborted = false;
-  std::string abort_why;
-  try {
-    sim.run();
-  } catch (const std::exception& e) {
-    aborted = true;
-    abort_why = e.what();
-  }
-  // The device is busy until the manager finishes the load (its own
-  // finished_at stamp), not until the kernel drains the background tail
-  // the run also processed (rail sampling, clock settle events).
-  const TimePs service = got ? std::max(got->finished_at - t0, TimePs{1})
-                             : sim.now() - t0;
-  d.busy_until = now_ + service;
-
-  const TimePs timeout = attempt_timeout(r);
-
-  if (aborted || !got) {
-    // Kernel abort (event budget) — treat as a failed attempt at the
-    // timeout horizon; the device clock may be inconsistent, so the
-    // breaker pressure is the important part.
-    schedule(now_ + std::min(service, timeout), [this, r, device_index, abort_why]() {
-      attempt_failed(r, device_index, abort_why.empty() ? "load never completed" : abort_why);
-    });
-    return;
-  }
-
-  const region::LoadResult res = *got;
-  const bool ok = res.success && !res.software_fallback;
-  if (ok && service <= timeout) {
-    schedule(now_ + service, [this, r, device_index]() {
-      devices_[device_index]->breaker.consecutive_failures = 0;
-      terminal(r, Outcome::kCompleted, false);
-      try_dispatch();
-    });
-    return;
-  }
-
-  // The caller gives up at the timeout even though the device keeps
-  // grinding until `busy_until` — work on fabric is not preemptible.
-  const TimePs fail_at = now_ + std::min(service, timeout);
-  const std::string why = service > timeout ? "attempt timeout"
-                          : res.error.empty() ? "load failed"
-                                              : res.error;
-  schedule(fail_at, [this, r, device_index, why]() {
-    attempt_failed(r, device_index, why);
-  });
-}
-
-void FrontEnd::dispatch_async(Request r, int device_index) {
+void FrontEnd::dispatch(Request r, int device_index) {
   Device& d = *devices_[device_index];
   metrics_.histogram("serve.queue_wait_us" + class_suffix(r.qos),
                      obs::Histogram::latency_bounds_us())
@@ -720,7 +628,6 @@ void FrontEnd::on_load_complete(int device_index, u64 token, TimePs t0,
   Device& d = *devices_[device_index];
   if (token != d.flight_token || !d.in_flight) return;  // stale completion
   d.in_flight = false;
-  d.busy_until = now_;
   const Request r = d.flight_request;
   const bool abandoned = d.flight_abandoned;
   d.flight_abandoned = false;
@@ -754,8 +661,7 @@ void FrontEnd::on_shard_error(sim::ShardId shard, const std::string& what) {
   flight_.error(device_shard(device_index), now_, "serve", "shard-wedged", what);
   if (!d.in_flight) return;
   // The in-flight load will never complete (the executor parked the
-  // shard); fail the attempt the way the sequential path treats a kernel
-  // abort — unless the timeout probe already did.
+  // shard); fail the attempt now — unless the timeout probe already did.
   d.in_flight = false;
   const bool already_failed = d.flight_abandoned;
   d.flight_abandoned = false;
@@ -812,7 +718,6 @@ void FrontEnd::drain_staging() {
   std::vector<Adopted> fresh;
   for (int i = 0; i < static_cast<int>(devices_.size()); ++i) {
     Device& d = *devices_[i];
-    if (d.staging == nullptr) continue;
     const std::string ring_name = device_shard(i) + "/txn";
     if (const obs::TelemetryRing<obs::FlightEvent>* ring = d.staging->shard(ring_name)) {
       const u64 total = ring->total_pushed();
@@ -849,22 +754,24 @@ void FrontEnd::drain_staging() {
   }
 }
 
-void FrontEnd::run_parallel_loop() {
+void FrontEnd::run_loop() {
   start_executor();
   while (!events_.empty()) {
-    const TimePs next_t = std::max(events_.top().t, now_);
+    const TimePs next_t = std::max(events_.top().time, now_);
     // Conservative horizon: with loads in flight their completion messages
     // must surface within a quantum; an idle fleet can jump straight to
     // the next event. max(now_) keeps the horizon monotone.
     const TimePs horizon =
         any_in_flight() ? std::min(next_t, now_ + epoch_quantum_) : next_t;
     advance_fleet(horizon);
-    while (!events_.empty() && events_.top().t <= horizon) {
-      Event ev = events_.top();
-      events_.pop();
-      telemetry_tick_until(std::max(now_, ev.t));
-      now_ = std::max(now_, ev.t);
-      ev.fn();
+    while (!events_.empty() && events_.top().time <= horizon) {
+      sim::Event ev = events_.pop();
+      if (ev.time < now_) violations_.push_back("event time went backwards");
+      // Telemetry ticks fire on exact interval boundaries between events,
+      // so the sampled series are independent of event spacing.
+      telemetry_tick_until(std::max(now_, ev.time));
+      now_ = std::max(now_, ev.time);
+      ev.action();
     }
     // Empty batches (quantum-bounded epochs) still advance the clock, or
     // the loop would re-pick the same horizon forever.
@@ -949,24 +856,7 @@ void FrontEnd::run(WorkloadGenerator& gen, u64 max_requests) {
     });
   }
 
-  if (config_.workers > 0) {
-    run_parallel_loop();
-  } else {
-    TimePs last = now_;
-    while (!events_.empty()) {
-      Event ev = events_.top();
-      events_.pop();
-      if (ev.t < last) {
-        violations_.push_back("event time went backwards");
-      }
-      // Telemetry ticks fire on exact interval boundaries between events,
-      // so the sampled series are independent of event spacing.
-      telemetry_tick_until(std::max(now_, ev.t));
-      now_ = std::max(now_, ev.t);
-      last = now_;
-      ev.fn();
-    }
-  }
+  run_loop();
   gen_ = nullptr;
 
   // Anything still queued when the arrival streams dried up is shed: it

@@ -17,25 +17,28 @@
 //      │         not busy, different device for retries)
 //      │        ── none usable & none busy → software-execution fallback
 //      ▼
-//   attempt ── runs the load on the device's own simulation; the measured
-//              service time schedules the completion back on the global
-//              clock. Timeout or rollback → one jittered-backoff retry on
-//              a *different* device, then the request times out. Failures
-//              feed the per-device circuit breaker; the breaker and the
-//              HealthTracker quarantine state together decide usability.
+//   attempt ── a load job posted to the device's executor shard starts at
+//              the next epoch horizon; its completion message comes back
+//              stamped with global time. Timeout or rollback → one
+//              jittered-backoff retry on a *different* device, then the
+//              request times out. Failures feed the per-device circuit
+//              breaker; the breaker and the HealthTracker quarantine state
+//              together decide usability.
 //
 // Every request terminates exactly once as completed / rejected / shed /
 // timed-out — serve::run_soak asserts this (and the shed-ordering and
 // deadline-accounting invariants) over the record table kept here.
 //
-// Device simulations run on their own clocks; `Device::base` anchors each
-// to the global clock (device time = base + global time), advanced with
-// sim::Simulation::run_until before every interaction so quarantine
-// backoffs expire in global time.
+// Each device simulation is one sim::ParallelExecutor shard on its own
+// clock; `Device::base` anchors it to the global clock (device time = base
+// + global time). The coordinator loop alternates barrier epochs, which
+// advance every shard to base + the epoch horizon, with the coordinator
+// events up to that horizon, popped from one (time, seq) sim::EventHeap.
+// `workers` only sets how many threads run the epochs (0 = inline on the
+// coordinator), never the results.
 #pragma once
 
 #include <memory>
-#include <queue>
 
 #include "analysis/isolation_lint.hpp"
 #include "core/system.hpp"
@@ -121,16 +124,15 @@ struct FrontEndConfig {
   /// from a snapshot, while the fabric keeps its frames. 0 = off. Each
   /// device restarts at most once per run.
   u64 restart_after_loads = 0;
-  /// Parallel fleet execution: worker threads for the sharded executor.
-  /// 0 = the classic sequential path (each dispatch runs its device
-  /// simulation synchronously on the coordinating thread). >= 1 pins every
-  /// device shard to a sim::ParallelExecutor worker and advances the fleet
-  /// in conservative barrier epochs; for a fixed epoch_quantum the results
-  /// are byte-identical for ANY worker count >= 1 (the determinism
+  /// Worker threads of the sharded executor that advances the device
+  /// shards in conservative barrier epochs. 0 = no thread: the epochs run
+  /// inline on the coordinating thread. >= 1 pins every device shard to a
+  /// sim::ParallelExecutor worker. For a fixed epoch_quantum the results
+  /// are byte-identical for ANY worker count, 0 included (the determinism
   /// contract verified by `verify-determinism --scenario serve`).
   unsigned workers = 0;
-  /// Epoch horizon bound for the parallel path: each barrier epoch
-  /// advances the fleet at most this far past the coordinator clock.
+  /// Epoch horizon bound: each barrier epoch advances the fleet at most
+  /// this far past the coordinator clock while loads are in flight.
   /// 0 = auto (warm_cost / 4, floored at 10 us). Affects load start times
   /// (so it is part of the scenario), never the worker-count invariance.
   TimePs epoch_quantum{};
@@ -223,13 +225,11 @@ class FrontEnd {
     std::unique_ptr<txn::TxnManager> txn;
     std::unique_ptr<region::RegionManager> manager;
     std::unique_ptr<fault::FaultInjector> injector;
-    TimePs base{};        ///< device-sim time at global t = 0
-    TimePs busy_until{};  ///< global time the current load finishes
+    TimePs base{};  ///< device-sim time at global t = 0
     Breaker breaker;
     u64 loads = 0;
     bool restarted = false;  ///< this controller already did its drill
 
-    // Parallel-path state (meaningful only when config.workers > 0).
     sim::ShardId shard = sim::kNoShard;  ///< executor shard id (== index)
     bool in_flight = false;       ///< a load job/completion is outstanding
     u64 flight_token = 0;         ///< stale-completion guard (bumped per dispatch)
@@ -243,15 +243,6 @@ class FrontEnd {
     u64 staging_triggers_seen = 0;  ///< triggers already adopted
   };
 
-  struct Event {
-    TimePs t;
-    u64 seq;
-    std::function<void()> fn;
-    bool operator>(const Event& o) const {
-      return t != o.t ? t > o.t : seq > o.seq;
-    }
-  };
-
   [[nodiscard]] std::unique_ptr<Device> make_device(unsigned index);
   void build_devices();
   /// Cold-restarts device `device_index`'s controller in place: captures
@@ -262,7 +253,6 @@ class FrontEnd {
   void restart_device(int device_index);
   void calibrate();
   void schedule(TimePs at, std::function<void()> fn);
-  void sync_device(Device& d);
   [[nodiscard]] bool device_usable(Device& d, int device_index);
   [[nodiscard]] int pick_device(int exclude);
   [[nodiscard]] TimePs estimate_cost(const std::string& module) const;
@@ -275,14 +265,16 @@ class FrontEnd {
   void on_arrival(Request r, WorkloadGenerator& gen, u64 max_requests);
   void enqueue(Request r);
   void try_dispatch();
-  void dispatch(Request r, Device& d, int device_index);
-  /// Attempt timeout horizon for `r` (shared by both dispatch paths).
+  /// Posts `r`'s load to device `device_index`'s shard; it starts at the
+  /// next epoch horizon.
+  void dispatch(Request r, int device_index);
+  /// Attempt timeout horizon for `r`.
   [[nodiscard]] TimePs attempt_timeout(const Request& r) const;
   [[nodiscard]] bool any_in_flight() const;
 
-  // Parallel path (config_.workers > 0): the event loop drives the fleet
-  // through barrier epochs instead of running device sims inline.
-  void run_parallel_loop();
+  /// The event loop: drives the fleet through barrier epochs and runs the
+  /// coordinator events up to each epoch's horizon.
+  void run_loop();
   void start_executor();
   /// One barrier epoch advancing every shard to its device time for
   /// `horizon` (global), then drains staging flight events.
@@ -290,7 +282,6 @@ class FrontEnd {
   /// Copies worker-recorded flight events / adopted triggers from every
   /// device's staging recorder into the shared one, deterministically.
   void drain_staging();
-  void dispatch_async(Request r, int device_index);
   void on_load_complete(int device_index, u64 token, TimePs t0,
                         region::LoadResult res);
   void on_shard_error(sim::ShardId shard, const std::string& what);
@@ -314,10 +305,10 @@ class FrontEnd {
 
   TimePs now_{};
   u64 event_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  sim::EventHeap events_;
 
-  // Parallel path: declared after devices_ so the executor (which holds
-  // raw shard pointers into them) is destroyed first.
+  // Declared after devices_ so the executor (which holds raw shard pointers
+  // into them) is destroyed first.
   std::unique_ptr<sim::ParallelExecutor> executor_;
   TimePs epoch_quantum_{};  ///< resolved horizon bound (config or auto)
   TimePs epoch_horizon_{};  ///< horizon of the epoch currently processing

@@ -50,12 +50,11 @@ struct ServeSoakConfig {
   /// after this many loads a device is cold-restarted once, its state
   /// rebuilt from its WAL. 0 = off.
   u64 restart_after_loads = 0;
-  /// Parallel fleet execution (FrontEndConfig::workers): executor worker
-  /// threads; 0 = the sequential path. For any N >= 1 the artifacts are
-  /// byte-identical — only wall-clock changes with N.
+  /// Fleet executor threads (FrontEndConfig::workers); 0 = epochs run
+  /// inline on the coordinating thread. For any N, 0 included, the
+  /// artifacts are byte-identical — only wall-clock changes with N.
   unsigned workers = 0;
-  /// Epoch horizon bound for the parallel path (FrontEndConfig::
-  /// epoch_quantum); 0 = auto.
+  /// Epoch horizon bound (FrontEndConfig::epoch_quantum); 0 = auto.
   TimePs epoch_quantum{};
 };
 

@@ -202,10 +202,9 @@ class Simulation {
   [[nodiscard]] Topology& topology() noexcept { return topology_; }
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
 
-  /// Simulation-wide metrics registry (counters/gauges/histograms/meters).
-  /// Always present; instrumented models cache instrument references at
-  /// construction. Supersedes the per-module ad-hoc sim::Stats maps for
-  /// anything a report or exporter should see.
+  /// Simulation-wide metrics registry (counters/gauges/histograms/meters),
+  /// the one place models count anything. Always present; instrumented
+  /// models cache instrument references at construction.
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return metrics_; }
 

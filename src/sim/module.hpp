@@ -4,12 +4,11 @@
 #include <string>
 
 #include "sim/kernel.hpp"
-#include "sim/stats.hpp"
 
 namespace uparc::sim {
 
-/// A named simulation component. Owns a stats scope; concrete models
-/// (BRAM, ICAP, controllers, ...) derive from this.
+/// A named simulation component registered in its simulation's topology;
+/// concrete models (BRAM, ICAP, controllers, ...) derive from this.
 class Module {
  public:
   Module(Simulation& sim, std::string name);
@@ -19,8 +18,6 @@ class Module {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] Simulation& sim() const noexcept { return sim_; }
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] Stats& stats() noexcept { return stats_; }
 
  protected:
   /// Declares the clock driving this module in the topology registry (also
@@ -40,7 +37,6 @@ class Module {
 
  private:
   std::string name_;
-  Stats stats_;
 };
 
 }  // namespace uparc::sim

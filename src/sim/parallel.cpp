@@ -9,8 +9,7 @@ namespace {
 constexpr std::size_t kShardHeapReserve = 4096;
 }  // namespace
 
-ParallelExecutor::ParallelExecutor(unsigned workers)
-    : workers_(workers == 0 ? 1u : workers) {}
+ParallelExecutor::ParallelExecutor(unsigned workers) : workers_(workers) {}
 
 ParallelExecutor::~ParallelExecutor() { stop(); }
 
@@ -57,13 +56,17 @@ void ParallelExecutor::start() {
 
 void ParallelExecutor::stop() {
   if (!running_) return;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stopping_ = true;
+  if (workers_ == 0) {
+    release_pinned(0);
+  } else {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stopping_ = true;
+    }
+    cv_work_.notify_all();
+    for (std::thread& t : pool_) t.join();
+    pool_.clear();
   }
-  cv_work_.notify_all();
-  for (std::thread& t : pool_) t.join();
-  pool_.clear();
   running_ = false;
   // Workers released their shards on the way out; take them back. Pending
   // jobs and undelivered messages die with the pool (the serve front end
@@ -94,8 +97,7 @@ void ParallelExecutor::run_epoch(const std::vector<TimePs>& targets) {
     stats_.jobs += shards_[i].jobs.size();
   }
   ++stats_.epochs;
-  begin_epoch(kNoShard);
-  finish_epoch();
+  epoch(kNoShard);
 }
 
 void ParallelExecutor::acquire(ShardId shard) {
@@ -104,8 +106,7 @@ void ParallelExecutor::acquire(ShardId shard) {
   if (s.detached) return;
   // Solo jobs-only epoch: the pinned worker renounces just this shard.
   s.release = true;
-  begin_epoch(shard);
-  finish_epoch();
+  epoch(shard);
   s.detached = true;
   s.sim->adopt_ownership();
 }
@@ -123,20 +124,22 @@ void ParallelExecutor::release(ShardId shard, Simulation* sim) {
   s.error.clear();
 }
 
-void ParallelExecutor::begin_epoch(ShardId solo) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    solo_ = solo;
-    pending_ = workers_;
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-}
-
-void ParallelExecutor::finish_epoch() {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return pending_ == 0; });
+void ParallelExecutor::epoch(ShardId solo) {
+  if (workers_ == 0) {
+    // No pool: the coordinator is the one worker and the barrier is trivial.
+    run_pinned(0, solo);
+  } else {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      solo_ = solo;
+      pending_ = workers_;
+      ++epoch_;
+    }
+    cv_work_.notify_all();
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_done_.wait(lk, [&] { return pending_ == 0; });
+    }
   }
   // Advance failures first, in shard order, so the coordinator can fail
   // the affected work before this epoch's messages land.
@@ -203,6 +206,30 @@ void ParallelExecutor::run_shard(Shard& s) {
   }
 }
 
+void ParallelExecutor::run_pinned(unsigned worker_index, ShardId solo) {
+  const unsigned stride = std::max(workers_, 1u);
+  for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size()); id += stride) {
+    if (solo != kNoShard && id != solo) continue;
+    run_shard(shards_[id]);
+  }
+}
+
+void ParallelExecutor::release_pinned(unsigned worker_index) {
+  // Handoff, worker side of shutdown: give every pinned shard back. A
+  // pending adopt is completed first so release always runs as the owner
+  // and the topology counts stay paired.
+  const unsigned stride = std::max(workers_, 1u);
+  for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size()); id += stride) {
+    Shard& s = shards_[id];
+    if (s.detached) continue;
+    if (s.adopt) {
+      s.sim->adopt_ownership();
+      s.adopt = false;
+    }
+    s.sim->release_ownership();
+  }
+}
+
 void ParallelExecutor::worker_loop(unsigned worker_index) {
   u64 seen = 0;
   for (;;) {
@@ -211,29 +238,13 @@ void ParallelExecutor::worker_loop(unsigned worker_index) {
       std::unique_lock<std::mutex> lk(mu_);
       cv_work_.wait(lk, [&] { return stopping_ || epoch_ > seen; });
       if (stopping_) {
-        // Handoff, worker side of shutdown: give every pinned shard back.
-        // A pending adopt is completed first so release always runs as the
-        // owner and the topology counts stay paired.
-        for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size());
-             id += workers_) {
-          Shard& s = shards_[id];
-          if (s.detached) continue;
-          if (s.adopt) {
-            s.sim->adopt_ownership();
-            s.adopt = false;
-          }
-          s.sim->release_ownership();
-        }
+        release_pinned(worker_index);
         return;
       }
       seen = epoch_;
       solo = solo_;
     }
-    for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size());
-         id += workers_) {
-      if (solo != kNoShard && id != solo) continue;
-      run_shard(shards_[id]);
-    }
+    run_pinned(worker_index, solo);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (--pending_ == 0) cv_done_.notify_all();

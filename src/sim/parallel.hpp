@@ -2,8 +2,10 @@
 //
 // Each shard is one sim::Simulation (one serve device) pinned to a fixed
 // worker thread (shard i runs on worker i % workers — a pure function of
-// the shard id, never of runtime timing). The coordinator advances the
-// fleet in conservative barrier epochs:
+// the shard id, never of runtime timing). With zero workers no thread is
+// started: the coordinator itself runs every shard, in shard order, as the
+// one worker would. The coordinator advances the fleet in conservative
+// barrier epochs:
 //
 //   1. per-shard jobs posted since the last epoch run on the shard's
 //      worker (dispatching loads into the shard at its current time),
@@ -15,7 +17,7 @@
 // The horizon is conservative: the coordinator picks it so that nothing a
 // shard could send can affect another shard earlier than the next barrier,
 // which makes the execution independent of worker count — byte-identical
-// artifacts for 1 vs N workers is the acceptance contract, checked by
+// artifacts for 0, 1 and N workers is the acceptance contract, checked by
 // `verify-determinism --scenario serve` and tests/parallel_test.cpp.
 //
 // Ownership: Simulations are single-owner shards (kernel owner-thread
@@ -60,8 +62,10 @@ class ParallelExecutor {
     u64 messages = 0;
   };
 
-  /// `workers` is clamped to >= 1. One worker still runs the full pinned
-  /// epoch protocol — it is the reference the N-worker run must match.
+  /// `workers` pinned worker threads. 0 starts no thread: each epoch runs
+  /// inline on the calling (coordinator) thread through the same protocol
+  /// one worker runs — jobs, advance, handoff flags, wedging and the
+  /// merge — so 0, 1 and N workers produce the same results.
   explicit ParallelExecutor(unsigned workers);
   ~ParallelExecutor();
 
@@ -73,8 +77,8 @@ class ParallelExecutor {
   /// the shard's event heap.
   ShardId add_shard(Simulation* sim, std::string name);
 
-  /// Launches the worker pool and hands every shard to its worker
-  /// (coordinator releases, worker adopts).
+  /// Launches the worker pool (none for 0 workers) and hands every shard
+  /// to its worker (coordinator releases, worker adopts).
   void start();
   /// Parks the pool, hands every shard back to the coordinator (worker
   /// releases, coordinator adopts) and joins the threads. Pending jobs and
@@ -151,14 +155,16 @@ class ParallelExecutor {
   /// kernel installed via release()).
   void declare_mailbox(Simulation& sim, const std::string& shard_name);
   void worker_loop(unsigned worker_index);
+  /// Runs worker `worker_index`'s pinned shards for one epoch (solo =
+  /// kNoShard for all of them, or one shard id for a handoff-only epoch).
+  void run_pinned(unsigned worker_index, ShardId solo);
   /// Runs one shard's share of the current epoch (jobs + advance).
   void run_shard(Shard& shard);
-  /// Releases the workers into an epoch (solo = kNoShard for all shards,
-  /// or one shard id for a handoff-only solo epoch).
-  void begin_epoch(ShardId solo);
-  /// Parks the caller until all workers finished the current epoch, then
-  /// runs the error handler and delivers merged messages.
-  void finish_epoch();
+  /// Worker side of shutdown: hands worker `worker_index`'s shards back.
+  void release_pinned(unsigned worker_index);
+  /// One epoch: runs the shards (inline, or on the pool and waits at the
+  /// barrier), then the error handler and the merged message delivery.
+  void epoch(ShardId solo);
 
   unsigned workers_;
   std::vector<Shard> shards_;
@@ -168,12 +174,13 @@ class ParallelExecutor {
   Stats stats_;
   bool running_ = false;
 
-  // Barrier state. `epoch_` is a generation counter: the coordinator bumps
-  // it to release the workers, each worker runs its pinned shards for that
-  // generation exactly once, and `pending_` counts workers still inside
-  // the epoch. All shard state above is only touched by its pinned worker
-  // between the two condition-variable edges, so the mutex pair is the
-  // complete synchronization story (TSan-clean by construction).
+  // Barrier state (unused with 0 workers). `epoch_` is a generation
+  // counter: the coordinator bumps it to release the workers, each worker
+  // runs its pinned shards for that generation exactly once, and
+  // `pending_` counts workers still inside the epoch. All shard state above
+  // is only touched by its pinned worker between the two condition-variable
+  // edges, so the mutex pair is the complete synchronization story
+  // (TSan-clean by construction).
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

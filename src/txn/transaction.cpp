@@ -149,7 +149,6 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
   txn_id_ = journal_.begin(region_, module_);
   out_.txn_id = txn_id_;
 
-  stats().add("recoveries");
   metrics().counter(name() + ".recoveries").add();
   if (wal_ != nullptr) {
     std::ostringstream os;
@@ -232,7 +231,6 @@ void TxnManager::execute(const std::string& region, const std::string& module,
   window.reserve(image_.frames.size());
   for (const bits::Frame& f : image_.frames) window.push_back(f.address);
 
-  stats().add("txns");
   metrics().counter(name() + ".txns").add();
   if (wal_ != nullptr) {
     // Journal intent and the staged image's golden signature before any
@@ -329,7 +327,6 @@ void TxnManager::commit() {
   health_.on_commit(region_);
   wal_health();
   out_.committed = true;
-  stats().add("commits");
   metrics().counter(name() + ".commits").add();
   finish(TxnPhase::kCommitted);
 }
@@ -395,12 +392,10 @@ void TxnManager::finish_rolled_back(VerifyTarget target) {
     last_good_.erase(region_);
     last_good_module_.erase(region_);
     pinned_.erase(region_);
-    stats().add("rollbacks_blank");
     metrics().counter(name() + ".rollbacks_blank").add();
     finish(TxnPhase::kRolledBackBlank);
     return;
   }
-  stats().add("rollbacks_last_good");
   metrics().counter(name() + ".rollbacks_last_good").add();
   finish(TxnPhase::kRolledBackLastGood);
 }
@@ -411,7 +406,6 @@ void TxnManager::fail(std::string why) {
   health_.on_failure(region_);
   wal_health();
   pinned_.erase(region_);
-  stats().add("failures");
   metrics().counter(name() + ".failures").add();
   journal_.advance(txn_id_, TxnPhase::kFailed, std::move(why));
   if (flight_ != nullptr) {

@@ -134,7 +134,8 @@ TEST(Recovery, TruncatedPreloadRecoversViaRepreload) {
   ASSERT_GE(out.history.size(), 2u);
   EXPECT_FALSE(out.history[0].result.success);
   EXPECT_EQ(out.history[0].action, RecoveryAction::kRepreload);
-  EXPECT_EQ(sys.uparc().preloader().stats().get("truncated_preloads"), 1.0);
+  EXPECT_EQ(sys.sim().metrics().counter_value(sys.uparc().preloader().name() + ".truncated"),
+            1.0);
 }
 
 TEST(Recovery, MidFrameIcapAbortRecoversViaRepreload) {

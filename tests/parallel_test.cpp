@@ -1,10 +1,12 @@
 // Tests for the sharded parallel executor: barrier-epoch protocol, message
-// merge order, ownership handoff round-trips, wedge handling, and the
-// worker-count invariance of the serve fleet artifacts.
+// merge order, ownership handoff round-trips, wedge handling, the inline
+// (zero-worker) executor, and the worker-count invariance of the serve
+// fleet artifacts.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/soak.hpp"
@@ -107,10 +109,87 @@ TEST(ParallelExecutor, WedgedShardReportsOnceAndParks) {
   EXPECT_EQ(s.now(), TimePs(0));  // the throwing epoch never advanced it
 }
 
+TEST(ParallelExecutor, ZeroWorkersRunTheProtocolInlineOnTheCaller) {
+  // No thread: jobs, advances, handoffs and deliveries all run on the
+  // calling thread, in the order one worker would run them.
+  const std::thread::id caller = std::this_thread::get_id();
+  bool off_caller = false;
+  Simulation a;
+  Simulation b;
+  ParallelExecutor ex(0);
+  const ShardId sa = ex.add_shard(&a, "a");
+  const ShardId sb = ex.add_shard(&b, "b");
+  std::vector<std::string> log;
+  std::vector<std::string> errors;
+  ex.set_sink([&](TimePs, std::function<void()> fn) { fn(); });
+  ex.set_error_handler([&](ShardId shard, const std::string& what) {
+    errors.push_back(std::to_string(shard) + ": " + what);
+  });
+  ex.start();
+
+  // Jobs run before the advance, with the shard still at its old horizon;
+  // messages merge in (t, shard, seq) order after every shard ran.
+  ex.post(sa, [&] {
+    off_caller = off_caller || std::this_thread::get_id() != caller;
+    log.push_back("job@" + std::to_string(a.now().ps()));
+    a.schedule_at(TimePs(20), [&] {
+      log.push_back("event@20");
+      ex.send(sa, TimePs(30), [&log] { log.push_back("a@30"); });
+    });
+  });
+  ex.post(sb, [&] {
+    ex.send(sb, TimePs(30), [&log] { log.push_back("b@30"); });
+    ex.send(sb, TimePs(10), [&log] { log.push_back("b@10"); });
+  });
+  ex.run_epoch({TimePs(40), TimePs(40)});
+  EXPECT_EQ(log, (std::vector<std::string>{"job@0", "event@20", "b@10", "a@30", "b@30"}));
+  EXPECT_EQ(a.now(), TimePs(40));
+  EXPECT_EQ(b.now(), TimePs(40));
+
+  // A throwing shard is reported once and parked for good.
+  ex.post(sb, [] { throw std::runtime_error("boom"); });
+  ex.run_epoch({TimePs(50), TimePs(50)});
+  int parked_ran = 0;
+  ex.post(sb, [&parked_ran] { ++parked_ran; });
+  ex.run_epoch({TimePs(60), TimePs(60)});
+  EXPECT_EQ(errors, (std::vector<std::string>{"1: boom"}));
+  EXPECT_EQ(parked_ran, 0);
+  EXPECT_EQ(b.now(), TimePs(40));
+  EXPECT_EQ(a.now(), TimePs(60));
+
+  // The restart drill: take the wedged shard back, install a replacement
+  // kernel, and the executor advances the replacement from then on.
+  ex.acquire(sb);
+  Simulation fresh;
+  fresh.run_until(TimePs(60));
+  ex.release(sb, &fresh);
+  int fresh_ran = 0;
+  ex.post(sb, [&] {
+    off_caller = off_caller || std::this_thread::get_id() != caller;
+    ++fresh_ran;
+  });
+  ex.run_epoch({TimePs(70), TimePs(70)});
+  ex.stop();
+  EXPECT_EQ(fresh_ran, 1);
+  EXPECT_EQ(fresh.now(), TimePs(70));
+  EXPECT_EQ(b.now(), TimePs(40));
+  EXPECT_EQ(errors.size(), 1u);
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(ex.stats().epochs, 4u);
+
+  // Every release found its adopt (what iso.shard.handoff audits): start
+  // or release() hands each kernel over, acquire() or stop() hands it back.
+  for (const Simulation* s : {&a, &b, &fresh}) {
+    EXPECT_EQ(s->topology().handoff_releases(), s->topology().handoff_adopts());
+    EXPECT_EQ(s->topology().handoff_releases(), 2u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Worker-count invariance over the real serve fleet: the acceptance
-// contract for the parallel path. All seven artifacts must match 1 worker
-// byte for byte — including the faulted + restart-drill scenario.
+// contract for the executor. All seven artifacts must match 1 worker byte
+// for byte, inline (0 workers) included — also in the faulted +
+// restart-drill scenario.
 
 TEST(ParallelServe, WorkerCountInvariantArtifacts) {
   serve::ServeSoakConfig cfg;
@@ -123,7 +202,7 @@ TEST(ParallelServe, WorkerCountInvariantArtifacts) {
   cfg.workers = 1;
   const serve::ServeSoakReport one = serve::run_soak(cfg);
   EXPECT_TRUE(one.ok()) << one.summary();
-  for (unsigned workers : {2u, 4u}) {
+  for (unsigned workers : {0u, 2u, 4u}) {
     cfg.workers = workers;
     const serve::ServeSoakReport n = serve::run_soak(cfg);
     EXPECT_TRUE(n.ok()) << n.summary();

@@ -2,6 +2,8 @@
 // semantics, failover, and the overload soak invariants.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "serve/soak.hpp"
 
 namespace uparc::serve {
@@ -298,6 +300,34 @@ TEST(BreakerJsonTest, RoundTripPreservesBackoffState) {
 
   EXPECT_THROW((void)Breaker::from_json("not json"), std::runtime_error);
   EXPECT_THROW((void)Breaker::from_json("{\"opens\":1}"), std::out_of_range);
+}
+
+// serve.busy follows the loads in flight at every worker count: a loaded
+// soak must sample some device busy.
+TEST(ServeSoakTest, BusyGaugeSamplesLoadsInFlight) {
+  ServeSoakConfig cfg;
+  cfg.seed = 1;
+  cfg.requests = 400;
+  cfg.devices = 4;
+  cfg.load_factor = 2.0;
+  cfg.fault_scale = 1.0;
+  cfg.telemetry_interval = TimePs::from_us(100);
+  for (unsigned workers : {0u, 4u}) {
+    cfg.workers = workers;
+    const ServeSoakReport report = run_soak(cfg);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    // Rows read "serve.busy{device=""dN""}",<t_us>,<value>.
+    u64 samples = 0;
+    u64 busy = 0;
+    std::istringstream rows(report.telemetry_csv);
+    for (std::string row; std::getline(rows, row);) {
+      if (row.rfind("\"serve.busy{", 0) != 0) continue;
+      ++samples;
+      if (row.substr(row.rfind(',') + 1) == "1") ++busy;
+    }
+    EXPECT_GT(samples, 0u) << workers << " workers";
+    EXPECT_GT(busy, 0u) << workers << " workers";
+  }
 }
 
 TEST(ServeSoakTest, RestartDrillRecoversControllersMidSoak) {

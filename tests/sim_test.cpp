@@ -493,10 +493,6 @@ TEST(Module, NameAndStats) {
     using Module::Module;
   } m(sim, "dummy");
   EXPECT_EQ(m.name(), "dummy");
-  m.stats().add("words", 41);
-  m.stats().add("words", 41);
-  EXPECT_DOUBLE_EQ(m.stats().get("words"), 82.0);
-  EXPECT_NE(m.stats().report().find("words = 82"), std::string::npos);
 }
 
 TEST(Vcd, RendersHeaderAndChanges) {

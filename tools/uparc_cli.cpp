@@ -568,9 +568,9 @@ serve::ServeSoakConfig serve_config_from(const Args& a) {
   // Restart drill: after N completed loads, tear each device's controller
   // down and cold-start it from its WAL mid-soak (0 = off).
   cfg.restart_after_loads = static_cast<u64>(a.get_num("restart-after", 0));
-  // Parallel fleet: N executor workers drive the device shards in barrier
-  // epochs (0 = classic sequential path). Results are identical for any
-  // N >= 1; only wall-clock changes.
+  // Fleet executor: N worker threads drive the device shards in barrier
+  // epochs (0 = inline on the coordinating thread). Results are identical
+  // for any N; only wall-clock changes.
   cfg.workers = static_cast<unsigned>(a.get_num("workers", 0));
   return cfg;
 }
@@ -1009,7 +1009,7 @@ int cmd_verify_determinism(const Args& a) {
       cfg.requests = static_cast<u64>(a.get_num("requests", 300));
       cfg.devices = static_cast<unsigned>(a.get_num("devices", 2));
       results.push_back(analysis::verify_serve_replay(cfg));
-      // Same scenario through the sharded executor: 1 worker vs 4 workers
+      // Same scenario at 0 (inline) and 4 workers against 1 worker: all
       // must be byte-identical (worker-count invariance).
       results.push_back(analysis::verify_parallel_replay(cfg));
     }
@@ -1100,8 +1100,8 @@ void usage(std::FILE* to) {
       "           [--workers N] [--json]\n"
       "           [--telemetry-out DIR] [--telemetry-us T]\n"
       "           — exits non-zero on any invariant violation;\n"
-      "           --workers N >= 1 runs the fleet on the sharded parallel\n"
-      "           executor (byte-identical artifacts for any N);\n"
+      "           --workers N runs the fleet's barrier epochs on N threads\n"
+      "           (0 = inline; byte-identical artifacts for any N);\n"
       "           --telemetry-out writes telemetry.json/.csv, alerts.json\n"
       "           and the flight-recorder dump (flight.json) into DIR\n"
       "  slo      serve soak with telemetry + SLO burn-rate alerting:\n"
