@@ -11,7 +11,7 @@
 #include <optional>
 
 #include "bench_util.hpp"
-#include "region/region_manager.hpp"
+#include "txn/stack.hpp"
 
 namespace {
 
@@ -40,6 +40,8 @@ WorkloadResult run_workload(core::System& sys, unsigned module_count,
   const bits::Device& device = sys.uparc().config().device;
   (void)sys.set_frequency_blocking(Frequency::mhz(362.5));
 
+  // Its own images (seeded 100 + m), not txn::make_module_set's: they feed
+  // the checked-in results/BENCH_cache.json.
   region::ModuleLibrary library;
   std::size_t frames_per_module = 0;
   for (unsigned m = 0; m < module_count; ++m) {
@@ -52,17 +54,9 @@ WorkloadResult run_workload(core::System& sys, unsigned module_count,
     frames_per_module = bs.frames.size();
     if (!library.add_module(gen.design_name, bs).ok()) return out;
   }
-
-  region::Floorplan floorplan(device);
-  const u32 column_stride = static_cast<u32>(frames_per_module / 128 + 1);
-  for (unsigned r = 0; r < region_count; ++r) {
-    region::RegionGeometry geom;
-    geom.origin = bits::FrameAddress{0, 0, 0, 1 + r * column_stride, 0};
-    geom.frame_count = static_cast<u32>(frames_per_module);
-    if (!floorplan.add_region("r" + std::to_string(r), geom).ok()) return out;
-  }
-  region::RegionManager manager(sim, "region_mgr", std::move(floorplan), library,
-                                sys.uparc(), sys.plane());
+  region::RegionManager manager(sim, "region_mgr",
+                                txn::make_floorplan(device, region_count, frames_per_module),
+                                library, sys.uparc(), sys.plane());
 
   double total_us = 0;
   for (const auto& [m, r] : sequence) {

@@ -125,8 +125,7 @@ int main() {
   // The guaranteed deadline budget in µs, for the p99 gate. Every cell
   // shares the seed, so calibration (and hence the budget) is identical
   // across cells — read it off the first one.
-  serve::ServeSoakConfig defaults;
-  const double guaranteed_budget_us = cells[0].warm_us * defaults.guaranteed_deadline_x;
+  const double guaranteed_budget_us = cells[0].warm_us * serve::kGuaranteedDeadlineX;
 
   std::printf("  %llu requests per cell, seed %llu, guaranteed deadline %.0f us\n\n",
               static_cast<unsigned long long>(kRequests),

@@ -43,6 +43,7 @@ class System {
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] power::Rail* rail() noexcept { return rail_.get(); }
   [[nodiscard]] icap::ConfigPlane& plane() noexcept { return *plane_; }
+  [[nodiscard]] const icap::ConfigPlane& plane() const noexcept { return *plane_; }
   [[nodiscard]] icap::Icap& icap() noexcept { return *icap_; }
   [[nodiscard]] Uparc& uparc() noexcept { return *uparc_; }
   /// Null unless SystemConfig::with_cache was set.

@@ -3,7 +3,7 @@
 namespace uparc::region {
 
 RegionManager::RegionManager(sim::Simulation& sim, std::string name, Floorplan floorplan,
-                             ModuleLibrary& library, core::Uparc& controller,
+                             const ModuleLibrary& library, core::Uparc& controller,
                              icap::ConfigPlane& plane)
     : Module(sim, std::move(name)),
       floorplan_(std::move(floorplan)),

@@ -52,7 +52,7 @@ using LoadCallback = std::function<void(const LoadResult&)>;
 class RegionManager : public sim::Module {
  public:
   RegionManager(sim::Simulation& sim, std::string name, Floorplan floorplan,
-                ModuleLibrary& library, core::Uparc& controller, icap::ConfigPlane& plane);
+                const ModuleLibrary& library, core::Uparc& controller, icap::ConfigPlane& plane);
 
   /// Queues a module load into a region. The callback fires when the load
   /// completes (or fails). Immediate errors (unknown region/module) are
@@ -109,7 +109,7 @@ class RegionManager : public sim::Module {
   void observe_cost(const std::string& module, const LoadResult& result);
 
   Floorplan floorplan_;
-  ModuleLibrary& library_;
+  const ModuleLibrary& library_;
   core::Uparc& controller_;
   icap::ConfigPlane& plane_;
   txn::TxnManager* txn_ = nullptr;

@@ -25,8 +25,8 @@ double TokenBucket::tokens(TimePs now) const {
 }
 
 AdmissionController::AdmissionController(const std::vector<TenantSpec>& tenants,
-                                         obs::Registry& metrics, AdmissionConfig config)
-    : metrics_(metrics), config_(config) {
+                                         obs::Registry& metrics)
+    : metrics_(metrics) {
   buckets_.reserve(tenants.size());
   for (const TenantSpec& t : tenants) {
     buckets_.emplace_back(t.bucket_rate_rps, t.bucket_burst);
@@ -40,17 +40,13 @@ AdmitVerdict AdmissionController::admit(const Request& r, TimePs now, TimePs bac
     metrics_.counter("serve.reject.bucket").add();
     return AdmitVerdict::kRejectBucket;
   }
-  if (config_.feasibility_check) {
-    const u64 dev = std::max(devices, 1u);
-    const double wait_ps =
-        (static_cast<double>(backlog_ahead.ps()) / static_cast<double>(dev) +
-         static_cast<double>(est_cost.ps())) *
-        config_.feasibility_margin;
-    const TimePs finish = now + TimePs(static_cast<u64>(wait_ps));
-    if (finish > r.deadline) {
-      metrics_.counter("serve.reject.infeasible").add();
-      return AdmitVerdict::kRejectInfeasible;
-    }
+  const u64 dev = std::max(devices, 1u);
+  const double wait_ps = static_cast<double>(backlog_ahead.ps()) / static_cast<double>(dev) +
+                         static_cast<double>(est_cost.ps());
+  const TimePs finish = now + TimePs(static_cast<u64>(wait_ps));
+  if (finish > r.deadline) {
+    metrics_.counter("serve.reject.infeasible").add();
+    return AdmitVerdict::kRejectInfeasible;
   }
   return AdmitVerdict::kAdmit;
 }

@@ -7,8 +7,8 @@
 // where backlog_ahead is the estimated cost of every queued request that
 // would be dispatched before this one (same or higher class; earlier
 // deadline within the class) and estimated_cost is the cache-aware load
-// estimate from RegionManager::estimate_load_cost. A margin factor > 1
-// rejects earlier (conservative), < 1 admits optimistically.
+// estimate from RegionManager::estimate_load_cost. Every admission runs the
+// check.
 #pragma once
 
 #include <vector>
@@ -52,17 +52,9 @@ enum class AdmitVerdict : u8 {
   return "unknown";
 }
 
-struct AdmissionConfig {
-  bool feasibility_check = true;
-  /// Scales the estimated completion time before comparing against the
-  /// deadline; > 1 = conservative, < 1 = optimistic.
-  double feasibility_margin = 1.0;
-};
-
 class AdmissionController {
  public:
-  AdmissionController(const std::vector<TenantSpec>& tenants, obs::Registry& metrics,
-                      AdmissionConfig config = {});
+  AdmissionController(const std::vector<TenantSpec>& tenants, obs::Registry& metrics);
 
   /// Decides `r` at `now`. `backlog_ahead` is the total estimated cost of
   /// queued work that would dispatch before `r`; `devices` the number of
@@ -73,7 +65,6 @@ class AdmissionController {
  private:
   std::vector<TokenBucket> buckets_;
   obs::Registry& metrics_;
-  AdmissionConfig config_;
 };
 
 }  // namespace uparc::serve

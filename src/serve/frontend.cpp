@@ -4,26 +4,31 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "bitstream/generator.hpp"
 #include "common/json.hpp"
-#include "txn/recovery.hpp"
 
 namespace uparc::serve {
 namespace {
 
-/// Same chaos plan shape as the txn soak, scaled.
-fault::FaultPlan chaos_plan(u64 seed, double scale) {
-  fault::FaultPlan plan;
-  plan.seed = seed ^ 0x5EA7E5EA7EULL;
-  if (scale <= 0.0) return plan;
-  plan.arm(fault::FaultSite::kBramRead, {.rate = 1e-4 * scale});
-  plan.arm(fault::FaultSite::kDecompInput, {.rate = 1e-4 * scale});
-  plan.arm(fault::FaultSite::kPreloadTruncate, {.rate = 0.01 * scale, .param = 0.5});
-  plan.arm(fault::FaultSite::kDcmLockFail, {.rate = 0.05 * scale});
-  plan.arm(fault::FaultSite::kIcapCorrupt, {.rate = 2e-4 * scale});
-  plan.arm(fault::FaultSite::kIcapAbort, {.rate = 5e-5 * scale});
-  return plan;
-}
+// The serve protocol (summarized on FrontEndConfig).
+/// Device attempts per request: the first plus one retry elsewhere.
+constexpr unsigned kMaxAttempts = 2;
+/// Attempt timeout = kTimeoutFactor x estimated cost, floored.
+constexpr double kTimeoutFactor = 6.0;
+constexpr TimePs kTimeoutFloor = TimePs::from_us(500);
+/// Retry backoff base (doubled per attempt, +0..50% deterministic jitter).
+constexpr TimePs kRetryBackoff = TimePs::from_us(50);
+/// Closed-loop backpressure: re-arrival delay base and retry bound.
+constexpr TimePs kBackpressureDelay = TimePs::from_us(200);
+constexpr unsigned kMaxBackpressure = 3;
+/// Circuit breaker: consecutive failures to open; the open interval
+/// doubles per re-open.
+constexpr unsigned kBreakerThreshold = 3;
+constexpr TimePs kBreakerBackoff = TimePs::from_ms(1);
+/// Cost of the software-execution fallback (serialized on one executor).
+constexpr TimePs kSoftwareCost = TimePs::from_ms(2);
+
+/// Seed salt of every device's chaos plan.
+constexpr u64 kFleetChaosSalt = 0x5EA7E5EA7EULL;
 
 [[nodiscard]] std::string class_suffix(QosClass c) {
   return std::string(".") + to_string(c);
@@ -61,85 +66,37 @@ Breaker Breaker::from_json(const std::string& snapshot) {
 FrontEnd::FrontEnd(FrontEndConfig config)
     : config_(config),
       jitter_(config.seed ^ 0xF0E1D2C3B4A59687ULL),
+      modules_(txn::make_module_set(core::UparcConfig{}.device, config.modules,
+                                    config.module_kb, config.seed)),
       queues_(config.queue_capacity) {
   if (config_.devices == 0) throw std::invalid_argument("FrontEnd: need >= 1 device");
-  build_devices();
+  for (unsigned di = 0; di < config_.devices; ++di) devices_.push_back(make_device(di));
   calibrate();
 }
 
 FrontEnd::~FrontEnd() = default;
 
 std::unique_ptr<FrontEnd::Device> FrontEnd::make_device(unsigned index) {
-  const unsigned module_count = std::max(1u, config_.modules);
-  const std::size_t frames_per_module = images_.front().frames.size();
-  const u32 column_stride = static_cast<u32>(frames_per_module / 128 + 1);
-
-  auto dev = std::make_unique<Device>();
-  core::SystemConfig sys_cfg;
-  sys_cfg.with_cache = true;
-  dev->system = std::make_unique<core::System>(sys_cfg);
-
-  for (unsigned m = 0; m < module_count; ++m) {
-    Status st = dev->library.add_module("m" + std::to_string(m), images_[m]);
-    if (!st.ok()) throw std::runtime_error("FrontEnd add_module: " + st.error().message);
-  }
-
-  region::Floorplan floorplan(sys_cfg.uparc.device);
-  for (unsigned r = 0; r < std::max(1u, config_.regions_per_device); ++r) {
-    region::RegionGeometry geom;
-    geom.origin = bits::FrameAddress{0, 0, 0, 1 + r * column_stride, 0};
-    geom.frame_count = static_cast<u32>(frames_per_module);
-    Status st = floorplan.add_region("r" + std::to_string(r), geom);
-    if (!st.ok()) throw std::runtime_error("FrontEnd add_region: " + st.error().message);
-  }
-
-  sim::Simulation& sim = dev->system->sim();
-  dev->txn = std::make_unique<txn::TxnManager>(sim, "txn", dev->system->uparc(),
-                                               dev->system->icap(), dev->system->rail(),
-                                               config_.policy);
-  // Every device journals: the WAL is what the restart drill recovers from
-  // (and what a post-mortem reads when a real device dies).
-  dev->wal_store = std::make_unique<txn::MemWalStorage>();
-  dev->wal = std::make_unique<txn::Wal>(sim, "wal", *dev->wal_store, config_.wal);
-  dev->txn->set_wal(dev->wal.get());
-  dev->manager = std::make_unique<region::RegionManager>(
-      sim, "region_mgr", std::move(floorplan), dev->library, dev->system->uparc(),
-      dev->system->plane());
-  dev->manager->set_transaction_manager(dev->txn.get());
+  txn::StackConfig stack_cfg;
+  stack_cfg.regions = config_.regions_per_device;
+  stack_cfg.wal = txn::WalPolicy{};
+  // Per-device fault stream; armed after calibration (see calibrate()).
+  stack_cfg.chaos = txn::chaos_plan((config_.seed + index) ^ kFleetChaosSalt,
+                                    config_.fault_scale);
+  auto dev = std::make_unique<Device>(modules_, stack_cfg);
   // Transaction terminals land on the device's black-box shard (stamped
   // with the device sim clock — each shard records in its own clock
   // domain); a kFailed transaction trips the post-mortem. They record into
   // a per-device staging recorder (shard code must not touch the shared
   // one) that drain_staging() merges at each barrier.
   dev->staging = std::make_unique<obs::FlightRecorder>(flight_.config());
-  dev->txn->set_flight_recorder(dev->staging.get(),
-                                device_shard(static_cast<int>(index)) + "/txn");
-  // Per-device fault stream; armed after calibration (see calibrate()).
-  dev->injector = std::make_unique<fault::FaultInjector>(
-      sim, "chaos", chaos_plan(config_.seed + index, config_.fault_scale));
+  dev->txn.set_flight_recorder(dev->staging.get(),
+                               device_shard(static_cast<int>(index)) + "/txn");
   // The whole device simulation is one event shard (shard id = device
   // index): every module, clock and registered component in it belongs to
   // this device and nothing reaches across. lint_isolation() audits that.
-  sim.topology().assign_shard_to_all(index);
+  dev->system.sim().topology().assign_shard_to_all(index);
   return dev;
-}
-
-void FrontEnd::build_devices() {
-  // One module image set shared by every device's library (identical
-  // sizing so every module fits every region window).
-  const unsigned module_count = std::max(1u, config_.modules);
-  core::SystemConfig probe_cfg;
-  for (unsigned m = 0; m < module_count; ++m) {
-    bits::GeneratorConfig gen_cfg;
-    gen_cfg.device = probe_cfg.uparc.device;
-    gen_cfg.target_body_bytes = std::max<std::size_t>(1, config_.module_kb) * 1024;
-    gen_cfg.seed = config_.seed * 1000 + m + 1;
-    gen_cfg.design_name = "m" + std::to_string(m);
-    images_.push_back(bits::Generator(gen_cfg).generate());
-  }
-  for (unsigned di = 0; di < config_.devices; ++di) {
-    devices_.push_back(make_device(di));
-  }
 }
 
 void FrontEnd::restart_device(int device_index) {
@@ -150,64 +107,43 @@ void FrontEnd::restart_device(int device_index) {
   // events before it is torn down.
   executor_->acquire(shard);
   drain_staging();
-  const Bytes wal_bytes = old.wal->storage().read_all();
-  const std::string breaker_snapshot = old.breaker.to_json();
-  const u64 loads = old.loads;
 
   auto fresh = make_device(static_cast<unsigned>(device_index));
-  // The fabric keeps its frames across a controller restart — only the
-  // controller's memory is lost. Transplant every region window.
-  for (const region::Region& r : old.manager->floorplan().regions()) {
-    for (const bits::FrameAddress& addr : r.geometry.frames()) {
-      if (const Words* frame = old.system->plane().read_frame(addr)) {
-        fresh->system->plane().write_frame(addr, *frame);
-      }
-    }
-  }
-
-  txn::RecoveryCoordinator coordinator(*fresh->system, *fresh->txn);
-  const txn::RecoveryReport report = coordinator.recover(
-      wal_bytes,
-      txn::RecoveryCoordinator::library_resolver(fresh->library,
-                                                 fresh->manager->floorplan()),
-      fresh->wal.get());
+  const txn::RecoveryReport report = fresh->recover_from(old);
   for (const std::string& err : report.errors) {
     violations_.push_back("device " + device_shard(device_index) + " restart: " + err);
   }
-
-  fresh->breaker = Breaker::from_json(breaker_snapshot);
-  fresh->loads = loads;
+  fresh->breaker = Breaker::from_json(old.breaker.to_json());
+  fresh->loads = old.loads;
   fresh->restarted = true;
   // Recovery drove the fresh simulation (readback scans, ladder
   // re-programs); re-anchor so device time = base + global time stays
   // monotone from here on.
-  const TimePs dev_now = fresh->system->sim().now();
+  const TimePs dev_now = fresh->system.sim().now();
   fresh->base = dev_now > now_ ? dev_now - now_ : TimePs{0};
-  if (config_.fault_scale > 0.0) {
-    fresh->injector->arm(fresh->system->uparc(), fresh->system->icap());
-  }
+  if (config_.fault_scale > 0.0) fresh->arm_chaos();
   if (telemetry_ != nullptr) {
-    telemetry_->replace_source(&fresh->system->sim().metrics(),
+    telemetry_->replace_source(&fresh->system.sim().metrics(),
                                {{"device", device_shard(device_index)}});
   }
 
   ++restarts_;
   metrics_.counter("serve.restarts").add();
   flight_.info(device_shard(device_index), now_, "serve", "controller-restart",
-               "loads=" + std::to_string(loads) +
+               "loads=" + std::to_string(fresh->loads) +
                    " wal_records=" + std::to_string(report.records_scanned) +
                    " regions=" + std::to_string(report.regions.size()));
   // Hand the recovered kernel to the shard's worker; release() also clears
   // any wedge the old kernel left behind.
   fresh->shard = shard;
-  executor_->release(shard, &fresh->system->sim());
+  executor_->release(shard, &fresh->system.sim());
   devices_[static_cast<std::size_t>(device_index)] = std::move(fresh);
 }
 
 analysis::Report FrontEnd::lint_isolation() const {
   analysis::Report merged;
   for (const auto& dev : devices_) {
-    merged.merge(analysis::lint_isolation(dev->system->sim().topology()));
+    merged.merge(analysis::lint_isolation(dev->system.sim().topology()));
   }
   return merged;
 }
@@ -219,12 +155,12 @@ void FrontEnd::calibrate() {
   double warm_us_sum = 0.0;
   u64 warm_samples = 0;
   for (auto& dev : devices_) {
-    sim::Simulation& sim = dev->system->sim();
+    sim::Simulation& sim = dev->system.sim();
     for (unsigned pass = 0; pass < 2; ++pass) {
-      for (unsigned m = 0; m < std::max(1u, config_.modules); ++m) {
+      for (unsigned m = 0; m < modules_.size(); ++m) {
         const std::string module = "m" + std::to_string(m);
         std::optional<region::LoadResult> got;
-        dev->manager->load_any(module, [&](const region::LoadResult& r) { got = r; });
+        dev->manager.load_any(module, [&](const region::LoadResult& r) { got = r; });
         sim.run();
         if (!got || !got->success) {
           throw std::runtime_error("FrontEnd calibration load failed for " + module);
@@ -240,9 +176,7 @@ void FrontEnd::calibrate() {
       }
     }
     dev->base = sim.now();  // global t=0 anchors here
-    if (config_.fault_scale > 0.0) {
-      dev->injector->arm(dev->system->uparc(), dev->system->icap());
-    }
+    if (config_.fault_scale > 0.0) dev->arm_chaos();
   }
   warm_cost_ = TimePs::from_us(warm_us_sum / static_cast<double>(warm_samples));
   rated_rps_ =
@@ -251,12 +185,11 @@ void FrontEnd::calibrate() {
   metrics_.gauge("serve.warm_cost_us").set(warm_cost_.us());
 }
 
-void FrontEnd::enable_telemetry(obs::TelemetryConfig telemetry_config,
-                                obs::SloPolicy slo_policy) {
+void FrontEnd::enable_telemetry(obs::TelemetryConfig telemetry_config) {
   telemetry_ = std::make_unique<obs::TelemetrySampler>(telemetry_config);
   telemetry_->add_source(&metrics_, {});
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    telemetry_->add_source(&devices_[i]->system->sim().metrics(),
+    telemetry_->add_source(&devices_[i]->system.sim().metrics(),
                            {{"device", device_shard(static_cast<int>(i))}});
   }
   telemetry_->set_presample_hook([this](TimePs) {
@@ -276,7 +209,7 @@ void FrontEnd::enable_telemetry(obs::TelemetryConfig telemetry_config,
       metrics_.gauge(obs::labeled_name("serve.busy", dev)).set(d.in_flight ? 1.0 : 0.0);
     }
   });
-  slo_ = std::make_unique<obs::SloEngine>(slo_policy);
+  slo_ = std::make_unique<obs::SloEngine>();
 }
 
 void FrontEnd::add_slo(obs::SloObjective objective) {
@@ -314,7 +247,7 @@ void FrontEnd::schedule(TimePs at, std::function<void()> fn) {
 
 TimePs FrontEnd::estimate_cost(const std::string& module) const {
   // Devices are identical, so device 0's learned model speaks for all.
-  return devices_.front()->manager->estimate_load_cost(module, warm_cost_);
+  return devices_.front()->manager.estimate_load_cost(module, warm_cost_);
 }
 
 bool FrontEnd::device_usable(Device& d, int device_index) {
@@ -327,13 +260,12 @@ bool FrontEnd::device_usable(Device& d, int device_index) {
     // Backoff elapsed: half-open. One more failure re-opens with a doubled
     // interval (opens count drives the exponent).
     d.breaker.open = false;
-    d.breaker.consecutive_failures =
-        config_.breaker_threshold == 0 ? 0 : config_.breaker_threshold - 1;
+    d.breaker.consecutive_failures = kBreakerThreshold - 1;
     flight_.info(device_shard(device_index), now_, "breaker", "breaker-half-open",
                  "opens=" + std::to_string(d.breaker.opens));
   }
-  for (const region::Region& r : d.manager->floorplan().regions()) {
-    if (d.txn->health().schedulable(r.name)) return true;
+  for (const region::Region& r : d.manager.floorplan().regions()) {
+    if (d.txn.health().schedulable(r.name)) return true;
   }
   return false;  // every region quarantined: the device is off-fleet
 }
@@ -490,12 +422,12 @@ void FrontEnd::enqueue(Request r) {
   // of losing the request outright — up to max_backpressure times.
   const bool closed_loop =
       gen_ != nullptr && gen_->tenants()[r.tenant].mode == ArrivalMode::kClosedLoop;
-  if (closed_loop && queues_.full() && r.backpressure < config_.max_backpressure) {
+  if (closed_loop && queues_.full() && r.backpressure < kMaxBackpressure) {
     Request retry = r;
     ++retry.backpressure;
     metrics_.counter("serve.backpressure").add();
     const double jit = 1.0 + 0.5 * jitter_.uniform();
-    const TimePs delay = TimePs::from_us(config_.backpressure_delay.us() *
+    const TimePs delay = TimePs::from_us(kBackpressureDelay.us() *
                                          static_cast<double>(retry.backpressure) * jit);
     schedule(now_ + delay, [this, retry]() mutable {
       if (retry.deadline < now_) {
@@ -562,8 +494,7 @@ void FrontEnd::try_dispatch() {
 }
 
 TimePs FrontEnd::attempt_timeout(const Request& r) const {
-  return std::max(TimePs::from_us(r.est_cost.us() * config_.timeout_factor),
-                  config_.timeout_floor);
+  return std::max(TimePs::from_us(r.est_cost.us() * kTimeoutFactor), kTimeoutFloor);
 }
 
 bool FrontEnd::any_in_flight() const {
@@ -594,10 +525,10 @@ void FrontEnd::dispatch(Request r, int device_index) {
   // exits are executor mailboxes and the staging flight recorder.
   executor_->post(d.shard, [this, device_index, token]() {
     Device& dev = *devices_[device_index];
-    const TimePs t0 = dev.system->sim().now();
+    const TimePs t0 = dev.system.sim().now();
     const TimePs base = dev.base;
     const sim::ShardId shard = dev.shard;
-    dev.manager->load_any(
+    dev.manager.load_any(
         dev.flight_request.module,
         [this, device_index, token, t0, base, shard](const region::LoadResult& res) {
           // Stamp the completion with its coordinator-clock time. Immediate
@@ -675,7 +606,7 @@ void FrontEnd::start_executor() {
   executor_ = std::make_unique<sim::ParallelExecutor>(config_.workers);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     devices_[i]->shard =
-        executor_->add_shard(&devices_[i]->system->sim(), device_shard(static_cast<int>(i)));
+        executor_->add_shard(&devices_[i]->system.sim(), device_shard(static_cast<int>(i)));
   }
   // Messages land on the coordinator event queue at their stamped time;
   // batch processing then interleaves them with arrivals/probes in plain
@@ -688,12 +619,9 @@ void FrontEnd::start_executor() {
   });
   executor_->start();
 
-  epoch_quantum_ = config_.epoch_quantum;
-  if (epoch_quantum_ == TimePs{0}) {
-    // Auto: a quarter of the warm service time keeps a few barriers per
-    // load in flight without drowning short runs in epochs.
-    epoch_quantum_ = TimePs::from_us(std::max(warm_cost_.us() / 4.0, 10.0));
-  }
+  // A quarter of the warm service time keeps a few barriers per load in
+  // flight without drowning short runs in epochs.
+  epoch_quantum_ = TimePs::from_us(std::max(warm_cost_.us() / 4.0, 10.0));
 }
 
 void FrontEnd::advance_fleet(TimePs horizon) {
@@ -784,11 +712,10 @@ void FrontEnd::run_loop() {
 
 void FrontEnd::breaker_failure(Device& d, int device_index) {
   ++d.breaker.consecutive_failures;
-  if (d.breaker.consecutive_failures >= config_.breaker_threshold &&
-      config_.breaker_threshold > 0) {
+  if (d.breaker.consecutive_failures >= kBreakerThreshold) {
     d.breaker.open = true;
     const unsigned exp = std::min(d.breaker.opens, 10u);
-    d.breaker.open_until = now_ + config_.breaker_backoff * (u64{1} << exp);
+    d.breaker.open_until = now_ + kBreakerBackoff * (u64{1} << exp);
     ++d.breaker.opens;
     metrics_.counter("serve.breaker.opens").add();
     // An opening breaker is the canonical black-box moment: the first one
@@ -808,11 +735,11 @@ void FrontEnd::attempt_failed(Request r, int device_index, const std::string& wh
   flight_.warn(device_shard(device_index), now_, "serve", "attempt-failed",
                "req=" + std::to_string(r.id) + " why=" + why);
 
-  if (r.attempts < config_.max_attempts) {
+  if (r.attempts < kMaxAttempts) {
     // One retry, jittered backoff, pinned away from the failed device.
     const double jit = 1.0 + 0.5 * jitter_.uniform();
     const TimePs delay = TimePs::from_us(
-        config_.retry_backoff.us() * static_cast<double>(u64{1} << (r.attempts - 1)) * jit);
+        kRetryBackoff.us() * static_cast<double>(u64{1} << (r.attempts - 1)) * jit);
     const TimePs retry_at = now_ + delay;
     if (retry_at + r.est_cost <= r.deadline) {
       metrics_.counter("serve.retries").add();
@@ -836,7 +763,7 @@ void FrontEnd::run_software(Request r) {
   // Serialized software executor: correct but slow, the last resort when
   // the entire fleet is unschedulable.
   const TimePs start = std::max(now_, sw_free_);
-  const TimePs done_at = start + config_.software_cost;
+  const TimePs done_at = start + kSoftwareCost;
   sw_free_ = done_at;
   schedule(done_at, [this, r]() {
     terminal(r, Outcome::kCompleted, true);
@@ -847,8 +774,7 @@ void FrontEnd::run_software(Request r) {
 void FrontEnd::run(WorkloadGenerator& gen, u64 max_requests) {
   gen_ = &gen;
   max_requests_ = max_requests;
-  admission_ = std::make_unique<AdmissionController>(gen.tenants(), metrics_,
-                                                     config_.admission);
+  admission_ = std::make_unique<AdmissionController>(gen.tenants(), metrics_);
   for (Request& r : gen.initial_arrivals()) {
     Request req = std::move(r);
     schedule(req.arrival, [this, req, &gen, max_requests]() mutable {
@@ -883,21 +809,21 @@ void FrontEnd::run(WorkloadGenerator& gen, u64 max_requests) {
 
 u64 FrontEnd::fault_fires() const {
   u64 total = 0;
-  for (const auto& d : devices_) total += d->injector->total_fires();
+  for (const auto& d : devices_) total += d->chaos.total_fires();
   return total;
 }
 
 u64 FrontEnd::fleet_events_executed() const {
   u64 total = 0;
   for (const auto& d : devices_) {
-    total += d->system->sim().events_executed() + d->system->sim().inlined_edges();
+    total += d->system.sim().events_executed() + d->system.sim().inlined_edges();
   }
   return total;
 }
 
 u64 FrontEnd::fleet_kernel_events() const {
   u64 total = 0;
-  for (const auto& d : devices_) total += d->system->sim().events_executed();
+  for (const auto& d : devices_) total += d->system.sim().events_executed();
   return total;
 }
 
@@ -906,7 +832,7 @@ std::string FrontEnd::health_json() const {
   os << "[";
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (i != 0) os << ",";
-    os << devices_[i]->txn->health().render_json();
+    os << devices_[i]->txn.health().render_json();
   }
   os << "]";
   return os.str();

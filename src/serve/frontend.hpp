@@ -1,9 +1,10 @@
 // Multi-tenant serving front end over the reconfiguration stack.
 //
-// The front end owns a fleet of simulated devices — each a full System
-// (UPaRC + cache + power rail) with its own floorplan, module library,
-// transaction manager and fault injector — and serves timed module-load
-// requests against them under a single global virtual clock:
+// The front end owns a fleet of simulated devices — each a
+// txn::ControllerStack (UPaRC + cache + power rail, floorplan, WAL-backed
+// transaction manager, region manager and chaos injector) reading the
+// fleet's one shared ModuleSet — and serves timed module-load requests
+// against them under a single global virtual clock:
 //
 //   arrival ── admission (token bucket + deadline feasibility)
 //      │            │ reject (bucket / infeasible)
@@ -41,18 +42,14 @@
 #include <memory>
 
 #include "analysis/isolation_lint.hpp"
-#include "core/system.hpp"
-#include "fault/injector.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
-#include "region/region_manager.hpp"
 #include "serve/admission.hpp"
 #include "serve/queue.hpp"
 #include "serve/workload.hpp"
 #include "sim/parallel.hpp"
-#include "txn/transaction.hpp"
-#include "txn/wal.hpp"
+#include "txn/stack.hpp"
 
 namespace uparc::serve {
 
@@ -86,6 +83,9 @@ enum class Outcome : u8 { kPending, kCompleted, kRejected, kShed, kTimedOut };
   return "unknown";
 }
 
+/// What a caller chooses about a fleet. The serve protocol itself (retries,
+/// timeouts, backoffs, breaker, software fallback, epoch quantum) is fixed:
+/// the constants at the top of frontend.cpp, listed in DESIGN.md §13.
 struct FrontEndConfig {
   u64 seed = 1;
   unsigned devices = 2;
@@ -97,45 +97,19 @@ struct FrontEndConfig {
   double fault_scale = 0.0;
   /// Shared bound across the three class queues.
   std::size_t queue_capacity = 64;
-  /// Device attempts per request (1 initial + retries on other devices).
-  unsigned max_attempts = 2;
-  /// Attempt timeout = timeout_factor × estimated cost, floored.
-  double timeout_factor = 6.0;
-  TimePs timeout_floor = TimePs::from_us(500);
-  /// Retry backoff base (doubled per attempt, +0..50% deterministic jitter).
-  TimePs retry_backoff = TimePs::from_us(50);
-  /// Closed-loop backpressure: re-arrival delay base and retry bound.
-  TimePs backpressure_delay = TimePs::from_us(200);
-  unsigned max_backpressure = 3;
-  /// Circuit breaker: consecutive failures to open; open interval doubles
-  /// per re-open (deterministic).
-  unsigned breaker_threshold = 3;
-  TimePs breaker_backoff = TimePs::from_ms(1);
-  /// Cost of the software-execution fallback (serialized on one executor).
-  TimePs software_cost = TimePs::from_ms(2);
-  AdmissionConfig admission{};
-  txn::TxnPolicy policy{};
-  /// Per-device write-ahead log rotation policy (every device always
-  /// journals; the WAL is what makes the restart drill below recoverable).
-  txn::WalPolicy wal{};
   /// Controller-restart drill: once a device has served this many loads it
-  /// is cold-restarted at its next idle pick — controller state is rebuilt
-  /// from its WAL by txn::RecoveryCoordinator and the breaker is restored
-  /// from a snapshot, while the fabric keeps its frames. 0 = off. Each
-  /// device restarts at most once per run.
+  /// is cold-restarted at its next idle pick — a fresh controller stack
+  /// rebuilds its state from the old one's WAL and fabric
+  /// (txn::ControllerStack::recover_from) and the breaker is restored from
+  /// a snapshot. 0 = off. Each device restarts at most once per run.
   u64 restart_after_loads = 0;
   /// Worker threads of the sharded executor that advances the device
   /// shards in conservative barrier epochs. 0 = no thread: the epochs run
   /// inline on the coordinating thread. >= 1 pins every device shard to a
-  /// sim::ParallelExecutor worker. For a fixed epoch_quantum the results
-  /// are byte-identical for ANY worker count, 0 included (the determinism
-  /// contract verified by `verify-determinism --scenario serve`).
+  /// sim::ParallelExecutor worker. The results are byte-identical for ANY
+  /// worker count, 0 included (the determinism contract verified by
+  /// `verify-determinism --scenario serve`).
   unsigned workers = 0;
-  /// Epoch horizon bound: each barrier epoch advances the fleet at most
-  /// this far past the coordinator clock while loads are in flight.
-  /// 0 = auto (warm_cost / 4, floored at 10 us). Affects load start times
-  /// (so it is part of the scenario), never the worker-count invariance.
-  TimePs epoch_quantum{};
 };
 
 struct RequestRecord {
@@ -170,8 +144,7 @@ class FrontEnd {
   /// into time-series rings on interval boundaries of the global clock, and
   /// objectives added with add_slo are burn-rate-evaluated on every tick.
   /// Call before run().
-  void enable_telemetry(obs::TelemetryConfig telemetry_config = {},
-                        obs::SloPolicy slo_policy = {});
+  void enable_telemetry(obs::TelemetryConfig telemetry_config = {});
   /// Registers an SLO objective (requires enable_telemetry first).
   void add_slo(obs::SloObjective objective);
   [[nodiscard]] obs::TelemetrySampler* telemetry() noexcept { return telemetry_.get(); }
@@ -212,19 +185,16 @@ class FrontEnd {
   /// Health snapshots (txn::HealthTracker::render_json) per device.
   [[nodiscard]] std::string health_json() const;
   /// Isolation audit over every device topology (each device simulation is
-  /// tagged as one shard in build_devices). Empty report = fleet is
+  /// tagged as one shard in make_device). Empty report = fleet is
   /// partition-clean; see analysis/isolation_lint.hpp for the iso.* rules.
   [[nodiscard]] analysis::Report lint_isolation() const;
 
  private:
-  struct Device {
-    std::unique_ptr<core::System> system;
-    region::ModuleLibrary library;
-    std::unique_ptr<txn::MemWalStorage> wal_store;
-    std::unique_ptr<txn::Wal> wal;
-    std::unique_ptr<txn::TxnManager> txn;
-    std::unique_ptr<region::RegionManager> manager;
-    std::unique_ptr<fault::FaultInjector> injector;
+  /// One fleet device: its controller stack (every device journals into a
+  /// WAL — what the restart drill recovers from) plus serve state.
+  struct Device : txn::ControllerStack {
+    using ControllerStack::ControllerStack;
+
     TimePs base{};  ///< device-sim time at global t = 0
     Breaker breaker;
     u64 loads = 0;
@@ -243,13 +213,13 @@ class FrontEnd {
     u64 staging_triggers_seen = 0;  ///< triggers already adopted
   };
 
+  /// Device `index`: a controller stack over the shared module set, tagged
+  /// as executor shard `index`, chaos injector unarmed.
   [[nodiscard]] std::unique_ptr<Device> make_device(unsigned index);
-  void build_devices();
-  /// Cold-restarts device `device_index`'s controller in place: captures
-  /// its WAL and breaker snapshot, rebuilds the Device (the fabric's
-  /// config-plane frames are transplanted — only controller memory is
-  /// lost), replays the WAL through txn::RecoveryCoordinator and restores
-  /// the breaker so its backoff schedule continues.
+  /// Cold-restarts device `device_index`'s controller in place: a fresh
+  /// stack recovers from the old one (recover_from: fabric frames copied,
+  /// WAL replayed) and the breaker is restored from its snapshot so its
+  /// backoff schedule continues.
   void restart_device(int device_index);
   void calibrate();
   void schedule(TimePs at, std::function<void()> fn);
@@ -298,8 +268,9 @@ class FrontEnd {
   std::unique_ptr<obs::SloEngine> slo_;
   std::size_t alerts_seen_ = 0;
   Prng jitter_;
+  /// The fleet's one module set; every device's RegionManager reads it.
+  txn::ModuleSet modules_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<bits::PartialBitstream> images_;
   ClassQueues queues_;
   std::unique_ptr<AdmissionController> admission_;
 
@@ -310,7 +281,7 @@ class FrontEnd {
   // Declared after devices_ so the executor (which holds raw shard pointers
   // into them) is destroyed first.
   std::unique_ptr<sim::ParallelExecutor> executor_;
-  TimePs epoch_quantum_{};  ///< resolved horizon bound (config or auto)
+  TimePs epoch_quantum_{};  ///< horizon bound: warm_cost / 4, floored at 10 us
   TimePs epoch_horizon_{};  ///< horizon of the epoch currently processing
 
   TimePs warm_cost_{};

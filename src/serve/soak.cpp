@@ -38,8 +38,14 @@ std::vector<TenantSpec> make_tenants(const ServeSoakConfig& config, double rated
 
   ArrivalMode forced = ArrivalMode::kOpenLoop;
   const bool mixed = config.dist == "mixed";
-  if (config.dist == "closed") forced = ArrivalMode::kClosedLoop;
-  if (config.dist == "bursty") forced = ArrivalMode::kBursty;
+  if (config.dist == "closed") {
+    forced = ArrivalMode::kClosedLoop;
+  } else if (config.dist == "bursty") {
+    forced = ArrivalMode::kBursty;
+  } else if (!mixed && config.dist != "open") {
+    throw std::invalid_argument("unknown dist '" + config.dist +
+                                "' (use mixed, open, closed or bursty)");
+  }
 
   std::vector<TenantSpec> tenants;
   // Guaranteed: a modest closed-loop slice (20% of offered load) with a
@@ -49,7 +55,7 @@ std::vector<TenantSpec> make_tenants(const ServeSoakConfig& config, double rated
   g.qos = QosClass::kGuaranteed;
   g.mode = mixed ? ArrivalMode::kClosedLoop : forced;
   g.rate_rps = offered * 0.2;
-  g.deadline = deadline(config.guaranteed_deadline_x);
+  g.deadline = deadline(kGuaranteedDeadlineX);
   // Closed loop: concurrency sized so the slice's offered rate is about
   // right at the warm service time (rate = concurrency / (service+think)).
   g.think_time = warm_cost;
@@ -63,7 +69,7 @@ std::vector<TenantSpec> make_tenants(const ServeSoakConfig& config, double rated
   s.qos = QosClass::kStandard;
   s.mode = mixed ? ArrivalMode::kOpenLoop : forced;
   s.rate_rps = offered * 0.4;
-  s.deadline = deadline(config.standard_deadline_x);
+  s.deadline = deadline(kStandardDeadlineX);
   tenants.push_back(s);
 
   // Best effort: bursty MMPP at 40% of offered load — the class that
@@ -73,18 +79,18 @@ std::vector<TenantSpec> make_tenants(const ServeSoakConfig& config, double rated
   b.qos = QosClass::kBestEffort;
   b.mode = mixed ? ArrivalMode::kBursty : forced;
   b.rate_rps = offered * 0.4;
-  b.deadline = deadline(config.best_effort_deadline_x);
+  b.deadline = deadline(kBestEffortDeadlineX);
   tenants.push_back(b);
   return tenants;
 }
 
-std::vector<std::string> default_slo_lines(const ServeSoakConfig& config, TimePs warm_cost) {
+std::vector<std::string> default_slo_lines(TimePs warm_cost) {
   auto fmt = [](double v) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.6g", v);
     return std::string(buf);
   };
-  const double g_deadline_us = warm_cost.us() * config.guaranteed_deadline_x;
+  const double g_deadline_us = warm_cost.us() * kGuaranteedDeadlineX;
   std::vector<std::string> lines;
   // Fleet-merged guaranteed-class latency: the weighted p99 across devices
   // must hold the class's deadline budget.
@@ -119,7 +125,6 @@ ServeSoakReport run_soak(const ServeSoakConfig& config) {
   fe_cfg.queue_capacity = config.queue_capacity;
   fe_cfg.restart_after_loads = config.restart_after_loads;
   fe_cfg.workers = config.workers;
-  fe_cfg.epoch_quantum = config.epoch_quantum;
   FrontEnd fe(fe_cfg);
 
   report.rated_rps = fe.rated_rps();
@@ -129,9 +134,9 @@ ServeSoakReport run_soak(const ServeSoakConfig& config) {
     obs::TelemetryConfig tcfg;
     tcfg.interval = config.telemetry_interval;
     tcfg.capacity = config.telemetry_capacity;
-    fe.enable_telemetry(tcfg, config.slo_policy);
+    fe.enable_telemetry(tcfg);
     const std::vector<std::string> lines =
-        config.slo_lines.empty() ? default_slo_lines(config, fe.warm_cost())
+        config.slo_lines.empty() ? default_slo_lines(fe.warm_cost())
                                  : config.slo_lines;
     for (const std::string& line : lines) {
       Result<obs::SloObjective> parsed = obs::parse_objective(line);

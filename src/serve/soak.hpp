@@ -1,7 +1,8 @@
 // Overload chaos soak for the serving front end: drives a multi-tenant
 // workload at a multiple of the fleet's rated capacity with fault
-// injection on, then asserts the per-request invariants over the record
-// table:
+// injection on (each device a txn::ControllerStack, the restart drill
+// cold-starting one through ControllerStack::recover_from), then asserts
+// the per-request invariants over the record table:
 //   * every issued request terminates exactly once, as one of
 //     completed / rejected / shed / timed-out;
 //   * shedding is strictly lowest-class-first — no guaranteed-class
@@ -20,6 +21,11 @@
 
 namespace uparc::serve {
 
+/// Per-class deadline budgets as multiples of the calibrated warm cost.
+inline constexpr double kGuaranteedDeadlineX = 40.0;
+inline constexpr double kStandardDeadlineX = 25.0;
+inline constexpr double kBestEffortDeadlineX = 15.0;
+
 struct ServeSoakConfig {
   u64 seed = 1;
   u64 requests = 2000;
@@ -33,10 +39,6 @@ struct ServeSoakConfig {
   /// Arrival mix: guaranteed closed-loop + standard open + best-effort
   /// bursty unless overridden ("open", "closed", "bursty" force one mode).
   std::string dist = "mixed";
-  /// Per-class deadline budgets as multiples of the calibrated warm cost.
-  double guaranteed_deadline_x = 40.0;
-  double standard_deadline_x = 25.0;
-  double best_effort_deadline_x = 15.0;
   std::size_t queue_capacity = 64;
   /// Telemetry sampling interval; 0 = telemetry (and SLO alerting) off.
   TimePs telemetry_interval{};
@@ -45,7 +47,6 @@ struct ServeSoakConfig {
   /// telemetry is on = the default fleet objectives (guaranteed p99 vs its
   /// deadline, goodput ratio, best-effort shed ratio).
   std::vector<std::string> slo_lines;
-  obs::SloPolicy slo_policy{};
   /// Controller-restart drill (FrontEndConfig::restart_after_loads):
   /// after this many loads a device is cold-restarted once, its state
   /// rebuilt from its WAL. 0 = off.
@@ -54,8 +55,6 @@ struct ServeSoakConfig {
   /// inline on the coordinating thread. For any N, 0 included, the
   /// artifacts are byte-identical — only wall-clock changes with N.
   unsigned workers = 0;
-  /// Epoch horizon bound (FrontEndConfig::epoch_quantum); 0 = auto.
-  TimePs epoch_quantum{};
 };
 
 struct ServeSoakViolation {
@@ -97,6 +96,8 @@ struct ServeSoakReport {
 };
 
 /// Builds the tenant mix for `config` against a calibrated rated capacity.
+/// Throws std::invalid_argument unless `config.dist` is one of mixed, open,
+/// closed or bursty.
 [[nodiscard]] std::vector<TenantSpec> make_tenants(const ServeSoakConfig& config,
                                                    double rated_rps, TimePs warm_cost);
 
@@ -104,8 +105,7 @@ struct ServeSoakReport {
 /// guaranteed-class fleet p99 against its deadline budget, overall goodput
 /// ratio, best-effort shed ratio. Thresholds scale with the calibrated
 /// warm cost so a clean 1x run stays alert-free while 2x overload fires.
-[[nodiscard]] std::vector<std::string> default_slo_lines(const ServeSoakConfig& config,
-                                                         TimePs warm_cost);
+[[nodiscard]] std::vector<std::string> default_slo_lines(TimePs warm_cost);
 
 [[nodiscard]] ServeSoakReport run_soak(const ServeSoakConfig& config);
 

@@ -9,106 +9,25 @@
 #include "common/crc32.hpp"
 #include "common/json.hpp"
 #include "common/prng.hpp"
-#include "core/system.hpp"
-#include "fault/injector.hpp"
-#include "region/module_library.hpp"
+#include "txn/stack.hpp"
 
 namespace uparc::txn {
 namespace {
 
-/// Same chaos plan as the PR 4 soak, so the swept WALs carry real rollback
-/// ladders; independent copy so the two harnesses can diverge later.
-fault::FaultPlan crash_chaos_plan(u64 seed, double scale) {
-  fault::FaultPlan plan;
-  plan.seed = seed ^ 0xC4A05C4A05ULL;
-  if (scale <= 0.0) return plan;
-  plan.arm(fault::FaultSite::kBramRead, {.rate = 1e-4 * scale});
-  plan.arm(fault::FaultSite::kDecompInput, {.rate = 1e-4 * scale});
-  plan.arm(fault::FaultSite::kPreloadTruncate, {.rate = 0.01 * scale, .param = 0.5});
-  plan.arm(fault::FaultSite::kDcmLockFail, {.rate = 0.05 * scale});
-  plan.arm(fault::FaultSite::kIcapCorrupt, {.rate = 2e-4 * scale});
-  plan.arm(fault::FaultSite::kIcapAbort, {.rate = 5e-5 * scale});
-  return plan;
-}
-
 constexpr u64 kPickSalt = 0x9E3779B97F4AULL;
 
-/// Workload + region fixture shared by the reference run and every crash
-/// run (pure data: images, relocatable library, window sizing).
-struct Fixture {
-  std::vector<bits::PartialBitstream> images;
-  region::ModuleLibrary library;
-  std::size_t frames_per_module = 0;
-  u32 column_stride = 0;
-  std::string error;
-};
+/// Small WAL segments so the sweep crosses compacting checkpoints too.
+constexpr WalPolicy kSweepWal{.segment_records = 48};
 
-Fixture make_fixture(const CrashSoakConfig& cfg, const bits::Device& device) {
-  Fixture fx;
-  const unsigned module_count = std::max(1u, cfg.modules);
-  for (unsigned m = 0; m < module_count; ++m) {
-    bits::GeneratorConfig gen_cfg;
-    gen_cfg.device = device;
-    gen_cfg.target_body_bytes = std::max<std::size_t>(1, cfg.module_kb) * 1024;
-    gen_cfg.seed = cfg.seed * 1000 + m + 1;
-    gen_cfg.design_name = "m" + std::to_string(m);
-    fx.images.push_back(bits::Generator(gen_cfg).generate());
-  }
-  fx.frames_per_module = fx.images.front().frames.size();
-  for (unsigned m = 0; m < module_count; ++m) {
-    if (fx.images[m].frames.size() != fx.frames_per_module) {
-      fx.error = "module set is not uniformly sized";
-      return fx;
-    }
-    Status st = fx.library.add_module("m" + std::to_string(m), fx.images[m]);
-    if (!st.ok()) {
-      fx.error = "add_module: " + st.error().message;
-      return fx;
-    }
-  }
-  fx.column_stride = static_cast<u32>(fx.frames_per_module / 128 + 1);
-  return fx;
+/// The crash soak's controller stack: WAL-backed, chaos plan seeded from
+/// `chaos_seed` (armed by the caller once the run is wired).
+StackConfig sweep_stack(const CrashSoakConfig& cfg, u64 chaos_seed) {
+  StackConfig sc;
+  sc.regions = cfg.regions;
+  sc.wal = kSweepWal;
+  sc.chaos = chaos_plan(chaos_seed ^ kChaosSalt, cfg.fault_scale);
+  return sc;
 }
-
-region::Floorplan make_floorplan(const bits::Device& device, const CrashSoakConfig& cfg,
-                                 const Fixture& fx, std::string& error) {
-  region::Floorplan floorplan(device);
-  for (unsigned r = 0; r < std::max(1u, cfg.regions); ++r) {
-    region::RegionGeometry geom;
-    geom.origin = bits::FrameAddress{0, 0, 0, 1 + r * fx.column_stride, 0};
-    geom.frame_count = static_cast<u32>(fx.frames_per_module);
-    Status st = floorplan.add_region("r" + std::to_string(r), geom);
-    if (!st.ok()) error = "add_region: " + st.error().message;
-  }
-  return floorplan;
-}
-
-/// One controller stack: a full System + floorplan + WAL-backed TxnManager
-/// + black-box recorder. Each crash run abandons one and cold-starts
-/// another — exactly what a controller reboot looks like to the fabric.
-struct Stack {
-  core::System system;
-  region::Floorplan floorplan;
-  MemWalStorage store;
-  Wal wal;
-  TxnManager txn;
-  obs::FlightRecorder flight;
-  std::string error;
-
-  Stack(const CrashSoakConfig& cfg, const Fixture& fx)
-      : system(make_sys_cfg()),
-        floorplan(make_floorplan(system.uparc().config().device, cfg, fx, error)),
-        wal(system.sim(), "wal", store, cfg.wal),
-        txn(system.sim(), "txn", system.uparc(), system.icap(), system.rail(), cfg.policy) {
-    txn.set_flight_recorder(&flight, "txn");
-  }
-
-  static core::SystemConfig make_sys_cfg() {
-    core::SystemConfig sys_cfg;
-    sys_cfg.with_cache = true;
-    return sys_cfg;
-  }
-};
 
 /// Acked ground truth, carried across the crash into the recovered stack.
 struct RunState {
@@ -123,7 +42,7 @@ struct RunState {
 
 using Violate = std::function<void(std::string)>;
 
-bool window_blank(Stack& s, const region::Region& r) {
+bool window_blank(const ControllerStack& s, const region::Region& r) {
   for (const bits::FrameAddress& addr : r.geometry.frames()) {
     const Words* frame = s.system.plane().read_frame(addr);
     if (frame == nullptr) continue;
@@ -134,23 +53,25 @@ bool window_blank(Stack& s, const region::Region& r) {
   return true;
 }
 
-bool plane_matches(Stack& s, const Fixture& fx, const std::string& module,
+bool plane_matches(const ControllerStack& s, const std::string& module,
                    const std::string& region) {
-  const region::Region* target = s.floorplan.find(region);
+  const region::Floorplan& floorplan = s.manager.floorplan();
+  const region::Region* target = floorplan.find(region);
   if (target == nullptr) return false;
-  auto img = fx.library.instantiate(module, s.floorplan, *target);
+  auto img = s.modules.library.instantiate(module, floorplan, *target);
   return img.ok() && s.system.plane().contains(img.value().frames);
 }
 
 /// Drives ops [first, cfg.ops) on `s`, updating `st` from acked outcomes.
 /// Returns the index of the op a ControllerCrash interrupted (filling
 /// `inflight`/`crash`), or cfg.ops when the workload completed.
-unsigned drive_ops(const CrashSoakConfig& cfg, const Fixture& fx, Stack& s,
+unsigned drive_ops(const CrashSoakConfig& cfg, ControllerStack& s,
                    const std::vector<unsigned>& mods, unsigned first, u64 pick_seed,
                    RunState& st, std::pair<std::string, std::string>* inflight,
                    fault::ControllerCrash* crash, const Violate& violate) {
   Prng pick(pick_seed);
   sim::Simulation& sim = s.system.sim();
+  const region::Floorplan& floorplan = s.manager.floorplan();
   for (unsigned i = first; i < cfg.ops; ++i) {
     // Health-aware placement, like the RegionManager router: quarantined
     // fabric is skipped; if everything is backing off, let simulated time
@@ -158,7 +79,7 @@ unsigned drive_ops(const CrashSoakConfig& cfg, const Fixture& fx, Stack& s,
     std::vector<std::string> eligible;
     for (unsigned waits = 0; waits <= 64; ++waits) {
       eligible.clear();
-      for (const region::Region& r : s.floorplan.regions()) {
+      for (const region::Region& r : floorplan.regions()) {
         if (s.txn.health().schedulable(r.name)) eligible.push_back(r.name);
       }
       if (!eligible.empty() || waits == 64) break;
@@ -168,8 +89,8 @@ unsigned drive_ops(const CrashSoakConfig& cfg, const Fixture& fx, Stack& s,
 
     const std::string region = eligible[pick.below(eligible.size())];
     const std::string module = "m" + std::to_string(mods[i]);
-    const region::Region* target = s.floorplan.find(region);
-    auto img = fx.library.instantiate(module, s.floorplan, *target);
+    const region::Region* target = floorplan.find(region);
+    auto img = s.modules.library.instantiate(module, floorplan, *target);
     if (!img.ok()) {
       violate("instantiate " + module + " for " + region + ": " + img.error().message);
       return cfg.ops;
@@ -224,10 +145,8 @@ unsigned drive_ops(const CrashSoakConfig& cfg, const Fixture& fx, Stack& s,
 }
 
 /// The PR 4 ground-truth checks plus resurrection, against acked state.
-void check_state(const CrashSoakConfig& cfg, const Fixture& fx, Stack& s,
-                 const RunState& st, const Violate& violate) {
-  (void)cfg;
-  for (const region::Region& r : s.floorplan.regions()) {
+void check_state(const ControllerStack& s, const RunState& st, const Violate& violate) {
+  for (const region::Region& r : s.manager.floorplan().regions()) {
     if (st.condemned.count(r.name) != 0) continue;
     if (!s.txn.region_consistent(r.name, s.system.plane())) {
       violate("region " + r.name + " inconsistent: plane matches neither last-good nor blank");
@@ -238,13 +157,13 @@ void check_state(const CrashSoakConfig& cfg, const Fixture& fx, Stack& s,
       if (!window_blank(s, r)) {
         violate("region " + r.name + " should be blank but holds frames");
       }
-    } else if (!plane_matches(s, fx, want, r.name)) {
+    } else if (!plane_matches(s, want, r.name)) {
       violate("region " + r.name + ": acked module " + want + " lost");
     }
     if (auto it = st.rolled_back.find(r.name); it != st.rolled_back.end()) {
       for (const std::string& bad : it->second) {
         if (bad == want) continue;
-        if (plane_matches(s, fx, bad, r.name)) {
+        if (plane_matches(s, bad, r.name)) {
           violate("region " + r.name + ": rolled-back image " + bad + " resurrected");
         }
       }
@@ -310,13 +229,14 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
     report.violations.push_back({0, WalCorruption::kNone, std::move(what)});
   };
 
-  Fixture fx;
-  {
-    core::System probe(Stack::make_sys_cfg());
-    fx = make_fixture(config, probe.uparc().config().device);
-  }
-  if (!fx.error.empty()) {
-    violate_ref(fx.error);
+  ModuleSet modules;
+  std::unique_ptr<ControllerStack> ref;
+  try {
+    modules = make_module_set(core::UparcConfig{}.device, config.modules, config.module_kb,
+                              config.seed);
+    ref = std::make_unique<ControllerStack>(modules, sweep_stack(config, config.seed));
+  } catch (const std::runtime_error& e) {
+    violate_ref(e.what());
     return report;
   }
 
@@ -332,30 +252,23 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
 
   // ---- reference run: same workload, no crash — discovers the boundaries.
   {
-    Stack ref(config, fx);
-    if (!ref.error.empty()) {
-      violate_ref(ref.error);
-      return report;
-    }
-    ref.txn.set_wal(&ref.wal);
-    fault::FaultInjector chaos(ref.system.sim(), "chaos",
-                               crash_chaos_plan(config.seed, config.fault_scale));
-    chaos.arm(ref.system.uparc(), ref.system.icap());
+    ref->arm_chaos();
     RunState st;
-    const unsigned done = drive_ops(config, fx, ref, mods, 0, config.seed ^ kPickSalt, st,
+    const unsigned done = drive_ops(config, *ref, mods, 0, config.seed ^ kPickSalt, st,
                                     nullptr, nullptr, violate_ref);
     if (done != config.ops) violate_ref("reference run did not complete the workload");
-    if (!ref.txn.journal().all_terminal()) {
+    if (!ref->txn.journal().all_terminal()) {
       violate_ref("reference journal left transactions open");
     }
-    check_state(config, fx, ref, st, violate_ref);
-    report.reference_records = ref.wal.records_appended();
-    const WalScan scan = scan_wal(ref.store.read_all());
+    check_state(*ref, st, violate_ref);
+    report.reference_records = ref->wal->records_appended();
+    const WalScan scan = scan_wal(ref->wal_store.read_all());
     if (scan.tail != WalTailState::kClean) {
       violate_ref("reference WAL tail not clean: " + scan.tail_error);
     }
     report.reference_wal_json = render_wal_json(scan);
   }
+  ref.reset();  // frees its 8 MB staging tier: each crash run builds its own stacks
   if (!report.ok() || report.reference_records == 0) return report;
 
   // ---- the sweep: kill the controller at every chosen boundary.
@@ -378,21 +291,21 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
         report.violations.push_back({seq, corr, std::move(what)});
       };
 
-      // Phase 1: the doomed controller, bit-for-bit the reference workload.
-      Stack a(config, fx);
-      a.txn.set_wal(&a.wal);
+      // Phase 1: the doomed controller, bit-for-bit the reference workload,
+      // with a black-box recorder that must freeze at the moment of death.
+      ControllerStack a(modules, sweep_stack(config, config.seed));
+      obs::FlightRecorder flight;
+      a.txn.set_flight_recorder(&flight, "txn");
       fault::CrashInjector injector({seq, corr});
-      injector.set_flight_recorder(&a.flight, "txn");
-      injector.arm(a.wal);
-      fault::FaultInjector chaos(a.system.sim(), "chaos",
-                                 crash_chaos_plan(config.seed, config.fault_scale));
-      chaos.arm(a.system.uparc(), a.system.icap());
+      injector.set_flight_recorder(&flight, "txn");
+      injector.arm(*a.wal);
+      a.arm_chaos();
 
       RunState st;
       std::pair<std::string, std::string> inflight;
       fault::ControllerCrash crash(0, WalCorruption::kNone, TimePs{});
-      const unsigned crashed_op = drive_ops(config, fx, a, mods, 0, config.seed ^ kPickSalt,
-                                            st, &inflight, &crash, violate);
+      const unsigned crashed_op = drive_ops(config, a, mods, 0, config.seed ^ kPickSalt, st,
+                                            &inflight, &crash, violate);
       if (!injector.crashed()) {
         violate("crash point was never reached");
         continue;
@@ -400,8 +313,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
       ++report.crashes;
 
       // The tail must look exactly like the injected damage.
-      const Bytes wal_bytes = a.store.read_all();
-      const WalScan scan = scan_wal(wal_bytes);
+      const WalScan scan = scan_wal(a.wal_store.read_all());
       const WalTailState want_tail = corr == WalCorruption::kNone ? WalTailState::kClean
                                      : corr == WalCorruption::kBitFlip
                                          ? WalTailState::kCorrupt
@@ -417,33 +329,26 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
       }
 
       // The black box froze at the moment of death, never behind the log.
-      if (!a.flight.triggered()) {
+      if (!flight.triggered()) {
         violate("flight recorder never froze on the crash");
       } else {
-        if (a.flight.first_trigger_reason() != "controller-crash") {
-          violate("flight recorder froze for '" + a.flight.first_trigger_reason() + "'");
+        if (flight.first_trigger_reason() != "controller-crash") {
+          violate("flight recorder froze for '" + flight.first_trigger_reason() + "'");
         }
-        if (a.flight.first_trigger_time() != crash.at) {
+        if (flight.first_trigger_time() != crash.at) {
           violate("frozen flight clock disagrees with the crash clock");
         }
-        if (scan.last_time() > a.flight.first_trigger_time()) {
+        if (scan.last_time() > flight.first_trigger_time()) {
           violate("WAL tail clock is ahead of the frozen flight recorder");
         }
       }
 
       // Phase 2: cold start. The fabric keeps its frames; the controller
-      // state machine starts from nothing but the log.
-      Stack b(config, fx);
-      for (const region::Region& r : a.floorplan.regions()) {
-        for (const bits::FrameAddress& addr : r.geometry.frames()) {
-          if (const Words* frame = a.system.plane().read_frame(addr)) {
-            b.system.plane().write_frame(addr, *frame);
-          }
-        }
-      }
-      RecoveryCoordinator coordinator(b.system, b.txn);
-      const auto resolver = RecoveryCoordinator::library_resolver(fx.library, b.floorplan);
-      const RecoveryReport rec = coordinator.recover(wal_bytes, resolver, &b.wal);
+      // state machine starts from nothing but the log. Its chaos stream,
+      // armed in phase 4, is fresh per run.
+      const u64 rerun_seed = config.seed ^ (seq * 1000003ULL + static_cast<u64>(corr) * 97ULL);
+      ControllerStack b(modules, sweep_stack(config, rerun_seed));
+      const RecoveryReport rec = b.recover_from(a);
       report.last_recovery_json = rec.render_json();
       if (rec.ok()) {
         ++report.recoveries_ok;
@@ -461,7 +366,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
       }
 
       // Phase 3: the recovered plane against acked ground truth.
-      for (const region::Region& r : b.floorplan.regions()) {
+      for (const region::Region& r : b.manager.floorplan().regions()) {
         if (st.condemned.count(r.name) != 0) continue;
         const RegionRecovery* rr = rec.find(r.name);
         if (rr != nullptr && rr->klass == RegionClass::kCondemned) continue;
@@ -472,7 +377,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
             st.shadow.count(r.name) ? st.shadow.at(r.name) : std::string();
         const bool is_crash_region = crashed_op < config.ops && r.name == inflight.first;
         const bool matches_prev =
-            prev.empty() ? window_blank(b, r) : plane_matches(b, fx, prev, r.name);
+            prev.empty() ? window_blank(b, r) : plane_matches(b, prev, r.name);
         if (!is_crash_region) {
           if (!matches_prev) {
             violate("region " + r.name + ": acked state (" +
@@ -485,7 +390,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
                                       rr->klass == RegionClass::kCommitted &&
                                       rr->module == inflight.second;
         const bool matches_staged =
-            staged_committed && plane_matches(b, fx, inflight.second, r.name);
+            staged_committed && plane_matches(b, inflight.second, r.name);
         const bool blank_terminal =
             (rr == nullptr || rr->klass == RegionClass::kUntouched) && window_blank(b, r);
         if (matches_staged && !matches_prev) {
@@ -506,7 +411,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
                                                                 : prev;
           for (const std::string& bad : it->second) {
             if (bad == now_live) continue;
-            if (plane_matches(b, fx, bad, r.name)) {
+            if (plane_matches(b, bad, r.name)) {
               violate("region " + r.name + ": rolled-back image " + bad +
                       " resurrected by recovery");
             }
@@ -520,20 +425,16 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
 
       // Phase 4: life goes on — the recovered controller serves the rest of
       // the workload under fresh chaos, then full ground-truth checks.
-      fault::FaultInjector chaos2(
-          b.system.sim(), "chaos2",
-          crash_chaos_plan(config.seed ^ (seq * 1000003ULL + static_cast<u64>(corr) * 97ULL),
-                           config.fault_scale));
-      chaos2.arm(b.system.uparc(), b.system.icap());
+      b.arm_chaos();
       const unsigned rest =
-          drive_ops(config, fx, b, mods, crashed_op + 1,
+          drive_ops(config, b, mods, crashed_op + 1,
                     config.seed ^ kPickSalt ^ (seq * 31ULL + static_cast<u64>(corr)), st,
                     nullptr, nullptr, violate);
       if (rest != config.ops) violate("post-recovery workload did not complete");
       if (!b.txn.journal().all_terminal()) {
         violate("post-recovery journal left transactions open");
       }
-      check_state(config, fx, b, st, violate);
+      check_state(b, st, violate);
 
       std::ostringstream line;
       line << "seq=" << seq << " tail=" << to_string(corr) << " scan=" << to_string(scan.tail)

@@ -6,9 +6,11 @@
 // to discover the WAL record boundaries the workload reaches. Then, for
 // every boundary (optionally × every tail-corruption mode), the same
 // workload is replayed with a CrashInjector armed at that boundary: the
-// controller stack is killed mid-flight, the surviving fabric + WAL are
-// handed to a cold-started stack, txn::RecoveryCoordinator reconciles, and
-// the remaining workload continues on the recovered controller.
+// txn::ControllerStack is killed mid-flight, a fresh stack cold-starts from
+// the surviving fabric + WAL through ControllerStack::recover_from (the
+// same restart the serve drill uses), and the remaining workload continues
+// on the recovered controller. The WAL rotates every 48 records, so the
+// sweep crosses compacting checkpoints too.
 //
 // After every crash+recovery the harness asserts the crash-consistency
 // contract on top of the PR 4 soak invariants:
@@ -54,9 +56,6 @@ struct CrashSoakConfig {
   /// Sweep all four tail modes (none/torn/partial/bit-flip) per boundary;
   /// false = intact tail only (4× cheaper).
   bool sweep_corruptions = true;
-  /// Small segments so the sweep crosses compacting checkpoints too.
-  WalPolicy wal{.segment_records = 48};
-  TxnPolicy policy{};
 };
 
 struct CrashSoakViolation {

@@ -4,30 +4,9 @@
 #include <sstream>
 
 #include "common/prng.hpp"
-#include "core/system.hpp"
-#include "fault/injector.hpp"
-#include "region/region_manager.hpp"
+#include "txn/stack.hpp"
 
 namespace uparc::txn {
-namespace {
-
-/// The full-rate chaos plan: every site on the reconfiguration path armed
-/// at rates high enough that most soaks exercise every recovery and
-/// rollback ladder rung, scaled by `scale` (0 disables).
-fault::FaultPlan chaos_plan(u64 seed, double scale) {
-  fault::FaultPlan plan;
-  plan.seed = seed ^ 0xC4A05C4A05ULL;
-  if (scale <= 0.0) return plan;
-  plan.arm(fault::FaultSite::kBramRead, {.rate = 1e-4 * scale});
-  plan.arm(fault::FaultSite::kDecompInput, {.rate = 1e-4 * scale});
-  plan.arm(fault::FaultSite::kPreloadTruncate, {.rate = 0.01 * scale, .param = 0.5});
-  plan.arm(fault::FaultSite::kDcmLockFail, {.rate = 0.05 * scale});
-  plan.arm(fault::FaultSite::kIcapCorrupt, {.rate = 2e-4 * scale});
-  plan.arm(fault::FaultSite::kIcapAbort, {.rate = 5e-5 * scale});
-  return plan;
-}
-
-}  // namespace
 
 std::string SoakReport::summary() const {
   std::ostringstream out;
@@ -55,63 +34,27 @@ SoakReport run_soak(const SoakConfig& config) {
     report.violations.push_back({at, std::move(what)});
   };
 
-  core::SystemConfig sys_cfg;
-  sys_cfg.trace = config.trace;
-  sys_cfg.with_cache = config.cache;
-  core::System system(sys_cfg);
+  ModuleSet modules;
+  std::unique_ptr<ControllerStack> stack;
+  try {
+    modules = make_module_set(core::UparcConfig{}.device, config.modules, config.module_kb,
+                              config.seed);
+    StackConfig stack_cfg;
+    stack_cfg.regions = config.regions;
+    stack_cfg.cache = config.cache;
+    stack_cfg.trace = config.trace;
+    stack_cfg.chaos = chaos_plan(config.seed ^ kChaosSalt, config.fault_scale);
+    stack = std::make_unique<ControllerStack>(modules, stack_cfg);
+  } catch (const std::runtime_error& e) {
+    violate(0, e.what());
+    return report;
+  }
+  core::System& system = stack->system;
   sim::Simulation& sim = system.sim();
-  const bits::Device& device = system.uparc().config().device;
-
-  // Generate the module set. Identical sizing means every module fits every
-  // region window exactly (Floorplan::check_fits requires it).
-  const unsigned module_count = std::max(1u, config.modules);
-  std::vector<bits::PartialBitstream> images;
-  for (unsigned m = 0; m < module_count; ++m) {
-    bits::GeneratorConfig gen_cfg;
-    gen_cfg.device = device;
-    gen_cfg.target_body_bytes = std::max<std::size_t>(1, config.module_kb) * 1024;
-    gen_cfg.seed = config.seed * 1000 + m + 1;
-    gen_cfg.design_name = "m" + std::to_string(m);
-    images.push_back(bits::Generator(gen_cfg).generate());
-  }
-  const std::size_t frames_per_module = images.front().frames.size();
-
-  region::ModuleLibrary library;
-  for (unsigned m = 0; m < module_count; ++m) {
-    if (images[m].frames.size() != frames_per_module) {
-      violate(0, "module set is not uniformly sized");
-      return report;
-    }
-    Status st = library.add_module("m" + std::to_string(m), images[m]);
-    if (!st.ok()) {
-      violate(0, "add_module: " + st.error().message);
-      return report;
-    }
-  }
-
-  // Floorplan: one window per region, spaced a whole column apart so FDRI
-  // auto-increment never walks from one region into the next.
-  region::Floorplan floorplan(device);
-  const u32 column_stride = static_cast<u32>(frames_per_module / 128 + 1);
-  for (unsigned r = 0; r < std::max(1u, config.regions); ++r) {
-    region::RegionGeometry geom;
-    geom.origin = bits::FrameAddress{0, 0, 0, 1 + r * column_stride, 0};
-    geom.frame_count = static_cast<u32>(frames_per_module);
-    Status st = floorplan.add_region("r" + std::to_string(r), geom);
-    if (!st.ok()) {
-      violate(0, "add_region: " + st.error().message);
-      return report;
-    }
-  }
-
-  TxnManager txn(sim, "txn", system.uparc(), system.icap(), system.rail(),
-                 config.policy);
-  region::RegionManager manager(sim, "region_mgr", std::move(floorplan), library,
-                                system.uparc(), system.plane());
-  manager.set_transaction_manager(&txn);
-
-  fault::FaultInjector injector(sim, "chaos", chaos_plan(config.seed, config.fault_scale));
-  injector.arm(system.uparc(), system.icap());
+  TxnManager& txn = stack->txn;
+  region::RegionManager& manager = stack->manager;
+  stack->arm_chaos();
+  const unsigned module_count = modules.size();
 
   Prng workload(config.seed ^ 0x50A4ULL);
   std::map<std::string, std::string> shadow_occupant;
@@ -214,7 +157,7 @@ SoakReport run_soak(const SoakConfig& config) {
         r.terminal == TxnPhase::kRolledBackLastGood && prev_occupant == r.module;
     if (r.terminal != TxnPhase::kCommitted && !same_as_last_good &&
         system.uparc().cache() != nullptr) {
-      if (system.uparc().cache()->contains(cache::key_of(images[module_index]))) {
+      if (system.uparc().cache()->contains(cache::key_of(modules.images[module_index]))) {
         violate(i, "rollback left a poisoned cache entry for " + module);
       }
     }
@@ -244,7 +187,7 @@ SoakReport run_soak(const SoakConfig& config) {
   report.software_fallbacks = static_cast<unsigned>(manager.software_fallbacks());
   report.quarantines =
       static_cast<u64>(system.metrics().counter_value("txn.health.quarantines"));
-  report.fault_fires = injector.total_fires();
+  report.fault_fires = stack->chaos.total_fires();
   report.cache_hits =
       static_cast<u64>(system.metrics().counter_value("region_mgr.cache_hits"));
   if (system.uparc().cache() != nullptr) {

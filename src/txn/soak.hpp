@@ -1,10 +1,10 @@
 // Chaos-soak harness: thousands of randomized reconfigurations under
 // full-rate fault injection, with continuous invariant checking.
 //
-// Builds a full stack (System + floorplan + module library + TxnManager +
-// RegionManager + FaultInjector), drives `transactions` randomized
-// health-routed loads, and after every transaction checks the system
-// invariants the transactional layer guarantees:
+// Builds one txn::ControllerStack (txn/stack.hpp) with its chaos injector
+// armed, drives `transactions` randomized health-routed loads, and after
+// every transaction checks the system invariants the transactional layer
+// guarantees:
 //   * every transaction journal reaches a terminal state, and none of them
 //     is kFailed (a failed transaction means the rollback ladder — retries,
 //     last-good restore, safe blank — was exhausted);
@@ -38,7 +38,6 @@ struct SoakConfig {
   /// soak chaos-tests cache coherence too: the harness additionally asserts
   /// that no rolled-back transaction leaves its image behind in the cache.
   bool cache = true;
-  TxnPolicy policy{};
 };
 
 struct SoakViolation {

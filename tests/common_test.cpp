@@ -4,7 +4,6 @@
 #include "bitstream/packet.hpp"
 #include "common/bitio.hpp"
 #include "common/crc32.hpp"
-#include "common/hexdump.hpp"
 #include "common/prng.hpp"
 #include "common/result.hpp"
 #include "common/units.hpp"
@@ -226,19 +225,6 @@ TEST(Prng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
-}
-
-TEST(Hexdump, FormatsBytes) {
-  Bytes b = {'H', 'i', 0x00, 0xFF};
-  std::string d = hexdump(b);
-  EXPECT_NE(d.find("48 69 00 ff"), std::string::npos);
-  EXPECT_NE(d.find("|Hi..|"), std::string::npos);
-}
-
-TEST(Hexdump, TruncatesAtLimit) {
-  Bytes b(1000, 0xAB);
-  std::string d = hexdump(b, 32);
-  EXPECT_NE(d.find("more bytes"), std::string::npos);
 }
 
 }  // namespace

@@ -1,20 +1,18 @@
 // Crash-consistency tests: deterministic crash-point injection, cold-start
 // recovery from a WAL (committed work is reprogrammed onto a blank fabric,
-// nothing is invented from an empty log), the flight-recorder freeze at the
-// moment of death, and a bounded crash-restart sweep with the replay
-// determinism gate on top.
+// nothing is invented from an empty log, ControllerStack::recover_from
+// adopts an intact fabric and continues the log), the flight-recorder
+// freeze at the moment of death, and a bounded crash-restart sweep with the
+// replay determinism gate on top.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
 #include "analysis/replay.hpp"
-#include "bitstream/generator.hpp"
-#include "core/system.hpp"
 #include "fault/crash.hpp"
-#include "region/module_library.hpp"
 #include "txn/crash_soak.hpp"
-#include "txn/recovery.hpp"
-#include "txn/transaction.hpp"
+#include "txn/stack.hpp"
 
 namespace uparc::txn {
 namespace {
@@ -95,68 +93,41 @@ TEST(RecoveryTest, EmptyWalRecoversToCleanStateAndSealsNewEpoch) {
   EXPECT_EQ(scan_wal(store.read_all()).records.front().type, WalRecordType::kCheckpoint);
 }
 
+/// Routes one load through `s` and returns its result.
+region::LoadResult load_any(ControllerStack& s, const std::string& module) {
+  std::optional<region::LoadResult> got;
+  s.manager.load_any(module, [&](const region::LoadResult& r) { got = r; });
+  s.system.sim().run();
+  EXPECT_TRUE(got.has_value());
+  return got.value_or(region::LoadResult{});
+}
+
+StackConfig wal_stack(unsigned regions) {
+  StackConfig cfg;
+  cfg.regions = regions;
+  cfg.wal = WalPolicy{};
+  return cfg;
+}
+
 TEST(RecoveryTest, ReprogramsCommittedRegionOntoBlankFabric) {
   // Controller A commits m0 into r0 with a WAL attached; then the
   // controller dies AND the fabric loses its frames (worst case: power
   // cycle). Recovery on a blank plane must classify r0 as committed,
   // notice the readback mismatch and reprogram the journaled last-good.
-  CrashSoakConfig cfg;
-  cfg.modules = 1;
-  cfg.regions = 1;
-  cfg.module_kb = 2;
+  const ModuleSet modules = make_module_set(core::UparcConfig{}.device, 1, 2, 77);
+  ControllerStack a(modules, wal_stack(1));
+  const region::LoadResult committed = load_any(a, "m0");
+  ASSERT_EQ(committed.terminal, TxnPhase::kCommitted) << committed.error;
+  ASSERT_EQ(committed.region, "r0");
 
-  bits::GeneratorConfig gen_cfg;
-  gen_cfg.target_body_bytes = 2048;
-  gen_cfg.seed = 77;
-  gen_cfg.design_name = "m0";
-
-  core::SystemConfig sys_cfg;
-  sys_cfg.with_cache = true;
-
-  region::ModuleLibrary library;
-  Bytes wal_bytes;
-  std::size_t frame_count = 0;
-  {
-    core::System a(sys_cfg);
-    gen_cfg.device = a.uparc().config().device;
-    const bits::PartialBitstream image = bits::Generator(gen_cfg).generate();
-    frame_count = image.frames.size();
-    ASSERT_TRUE(library.add_module("m0", image).ok());
-
-    region::Floorplan plan_a(gen_cfg.device);
-    region::RegionGeometry geom;
-    geom.origin = bits::FrameAddress{0, 0, 0, 1, 0};
-    geom.frame_count = static_cast<u32>(frame_count);
-    ASSERT_TRUE(plan_a.add_region("r0", geom).ok());
-
-    MemWalStorage store_a;
-    Wal wal_a(a.sim(), "wal", store_a);
-    TxnManager txn_a(a.sim(), "txn", a.uparc(), a.icap(), a.rail());
-    txn_a.set_wal(&wal_a);
-
-    auto placed = library.instantiate("m0", plan_a, *plan_a.find("r0"));
-    ASSERT_TRUE(placed.ok()) << placed.error().message;
-    std::optional<TxnOutcome> got;
-    txn_a.execute("r0", "m0", placed.value(), [&](const TxnOutcome& o) { got = o; });
-    a.sim().run();
-    ASSERT_TRUE(got.has_value());
-    ASSERT_EQ(got->terminal, TxnPhase::kCommitted) << got->error;
-    wal_bytes = store_a.read_all();
-  }
-
-  core::System b(sys_cfg);  // blank fabric: nothing transplanted
-  region::Floorplan plan_b(gen_cfg.device);
-  region::RegionGeometry geom;
-  geom.origin = bits::FrameAddress{0, 0, 0, 1, 0};
-  geom.frame_count = static_cast<u32>(frame_count);
-  ASSERT_TRUE(plan_b.add_region("r0", geom).ok());
-  TxnManager txn_b(b.sim(), "txn", b.uparc(), b.icap(), b.rail());
-  MemWalStorage store_b;
-  Wal wal_b(b.sim(), "wal", store_b);
-
-  RecoveryCoordinator coordinator(b, txn_b);
+  // Blank fabric: nothing is transplanted, so recovery runs on the log
+  // alone instead of through recover_from().
+  ControllerStack b(modules, wal_stack(1));
+  RecoveryCoordinator coordinator(b.system, b.txn);
   const RecoveryReport report = coordinator.recover(
-      wal_bytes, RecoveryCoordinator::library_resolver(library, plan_b), &wal_b);
+      a.wal_store.read_all(),
+      RecoveryCoordinator::library_resolver(modules.library, b.manager.floorplan()),
+      &*b.wal);
 
   EXPECT_TRUE(report.ok()) << report.summary();
   const RegionRecovery* r0 = report.find("r0");
@@ -166,7 +137,43 @@ TEST(RecoveryTest, ReprogramsCommittedRegionOntoBlankFabric) {
   EXPECT_FALSE(r0->readback_clean);  // the fabric was blank
   EXPECT_EQ(r0->action, RecoveryAction::kReprogram);
   // The recovered controller knows m0 as r0's last-good again.
-  EXPECT_EQ(txn_b.last_good_module("r0"), "m0");
+  EXPECT_EQ(b.txn.last_good_module("r0"), "m0");
+}
+
+TEST(ControllerStackTest, RecoverFromAdoptsTheFabricAndContinuesTheLog) {
+  // The shared cold restart: the dead stack committed two modules; a fresh
+  // stack takes over its fabric and WAL and must adopt both regions as
+  // they stand, without reprogramming anything.
+  const ModuleSet modules = make_module_set(core::UparcConfig{}.device, 2, 2, 5);
+  ControllerStack dead(modules, wal_stack(2));
+  std::map<std::string, std::string> placed;
+  for (const char* module : {"m0", "m1"}) {
+    const region::LoadResult r = load_any(dead, module);
+    ASSERT_EQ(r.terminal, TxnPhase::kCommitted) << r.error;
+    placed[r.region] = module;
+  }
+  ASSERT_EQ(placed.size(), 2u);  // routed to both regions
+  const u64 dead_last_seq = scan_wal(dead.wal_store.read_all()).last_seq();
+
+  ControllerStack fresh(modules, wal_stack(2));
+  const RecoveryReport report = fresh.recover_from(dead);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  ASSERT_EQ(report.regions.size(), 2u);
+  for (const RegionRecovery& rr : report.regions) {
+    EXPECT_EQ(rr.action, RecoveryAction::kAdopt) << rr.region;
+    EXPECT_TRUE(rr.readback_clean) << rr.region;
+    EXPECT_EQ(fresh.txn.last_good_module(rr.region), placed[rr.region]);
+  }
+  // The new log opens with a compacting checkpoint that continues the dead
+  // log's seq chain.
+  const WalScan scan = scan_wal(fresh.wal_store.read_all());
+  ASSERT_FALSE(scan.records.empty());
+  EXPECT_EQ(scan.records.front().type, WalRecordType::kCheckpoint);
+  EXPECT_EQ(scan.records.front().seq, dead_last_seq + 1);
+
+  // The recovered controller keeps serving.
+  const region::LoadResult next = load_any(fresh, "m0");
+  EXPECT_EQ(next.terminal, TxnPhase::kCommitted) << next.error;
 }
 
 TEST(CrashSoakTest, BoundedSweepHoldsCrashConsistencyInvariants) {

@@ -1,12 +1,11 @@
 // Cross-module integration tests: full systems, repeated reconfigurations,
-// mixed controllers on one plane, VCD tracing of a live run, file-level
-// round trips through the whole stack.
+// mixed controllers on one plane, file-level round trips through the whole
+// stack.
 #include <gtest/gtest.h>
 
 #include "bitstream/parser.hpp"
 #include "bitstream/writer.hpp"
 #include "core/system.hpp"
-#include "sim/vcd.hpp"
 
 namespace uparc {
 namespace {
@@ -116,29 +115,6 @@ TEST(Integration, CorruptedPreloadIsCaughtByIcapCrc) {
   auto r = sys.reconfigure_blocking();
   EXPECT_FALSE(r.success);
   EXPECT_NE(r.error.find("CRC"), std::string::npos);
-}
-
-TEST(Integration, VcdTraceOfAReconfiguration) {
-  core::System sys;
-  auto bs = make_bs(8_KiB, 3);
-
-  sim::VcdWriter vcd("uparc_run");
-  auto sig_busy = vcd.add_signal("urec_busy", 1);
-  auto sig_words = vcd.add_signal("icap_words", 32);
-
-  ASSERT_TRUE(sys.stage(bs).ok());
-  std::optional<ctrl::ReconfigResult> result;
-  sys.uparc().reconfigure([&](const ctrl::ReconfigResult& r) { result = r; });
-  // Sample the signals as the simulation advances.
-  while (sys.sim().step()) {
-    vcd.change(sig_busy, sys.sim().now(), sys.uparc().urec().busy() ? 1 : 0);
-    vcd.change(sig_words, sys.sim().now(), sys.icap().words_consumed());
-  }
-  ASSERT_TRUE(result && result->success);
-  EXPECT_GT(vcd.change_count(), 100u);
-  const std::string doc = vcd.render();
-  EXPECT_NE(doc.find("urec_busy"), std::string::npos);
-  EXPECT_NE(doc.find("$enddefinitions"), std::string::npos);
 }
 
 TEST(Integration, EnergyScalesWithBitstreamSize) {

@@ -263,6 +263,21 @@ TEST(ServeSoakTest, OverloadWithFaultsHoldsInvariants) {
   EXPECT_NE(report.health_json.find("\"regions\""), std::string::npos);
 }
 
+// An unknown arrival mix is a caller error, not a silent open-loop run.
+TEST(ServeSoakTest, MakeTenantsRejectsUnknownDist) {
+  ServeSoakConfig cfg;
+  for (const char* dist : {"mixed", "open", "closed", "bursty"}) {
+    cfg.dist = dist;
+    EXPECT_EQ(make_tenants(cfg, 1000.0, TimePs::from_us(100)).size(), 3u) << dist;
+  }
+  for (const char* dist : {"bogus", "Mixed", ""}) {
+    cfg.dist = dist;
+    EXPECT_THROW((void)make_tenants(cfg, 1000.0, TimePs::from_us(100)),
+                 std::invalid_argument)
+        << dist;
+  }
+}
+
 // Determinism: the same soak config twice produces identical outcomes.
 TEST(ServeSoakTest, SoakIsDeterministic) {
   ServeSoakConfig cfg;

@@ -1,11 +1,10 @@
-// Unit tests for the simulation kernel: event ordering, clocks, FIFOs, VCD.
+// Unit tests for the simulation kernel: event ordering, clocks, FIFOs.
 #include <gtest/gtest.h>
 
 #include "sim/clock.hpp"
 #include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/module.hpp"
-#include "sim/vcd.hpp"
 
 namespace uparc::sim {
 namespace {
@@ -493,87 +492,6 @@ TEST(Module, NameAndStats) {
     using Module::Module;
   } m(sim, "dummy");
   EXPECT_EQ(m.name(), "dummy");
-}
-
-TEST(Vcd, RendersHeaderAndChanges) {
-  VcdWriter vcd("top");
-  auto clk = vcd.add_signal("clk", 1);
-  auto bus = vcd.add_signal("data", 8);
-  vcd.change(clk, TimePs(0), 0);
-  vcd.change(clk, TimePs(10), 1);
-  vcd.change(bus, TimePs(10), 0xA5);
-  vcd.change(clk, TimePs(20), 0);
-  std::string doc = vcd.render();
-  EXPECT_NE(doc.find("$var wire 1"), std::string::npos);
-  EXPECT_NE(doc.find("$var wire 8"), std::string::npos);
-  EXPECT_NE(doc.find("#10"), std::string::npos);
-  EXPECT_NE(doc.find("b10100101"), std::string::npos);
-}
-
-TEST(Vcd, DeduplicatesUnchangedValues) {
-  VcdWriter vcd;
-  auto s = vcd.add_signal("s", 1);
-  vcd.change(s, TimePs(0), 1);
-  vcd.change(s, TimePs(10), 1);  // no-op
-  vcd.change(s, TimePs(20), 0);
-  EXPECT_EQ(vcd.change_count(), 2u);
-}
-
-TEST(Vcd, SortsOutOfOrderChangesAtRender) {
-  // Two modules flushing at their own cadence record interleaved times; the
-  // rendered #timestamps must still be monotonic (IEEE 1364) with each time
-  // emitted exactly once.
-  VcdWriter vcd;
-  auto a = vcd.add_signal("a", 1);
-  auto b = vcd.add_signal("b", 8);
-  vcd.change(a, TimePs(0), 1);
-  vcd.change(a, TimePs(200), 0);
-  vcd.change(b, TimePs(100), 0x7);  // recorded after #200, belongs at #100
-  vcd.change(b, TimePs(150), 0x9);
-  const std::string doc = vcd.render();
-
-  std::vector<u64> stamps;
-  for (std::size_t pos = doc.find('#'); pos != std::string::npos;
-       pos = doc.find('#', pos + 1)) {
-    stamps.push_back(std::stoull(doc.substr(pos + 1)));
-  }
-  ASSERT_EQ(stamps.size(), 4u);
-  EXPECT_EQ(stamps, (std::vector<u64>{0, 100, 150, 200}));
-  // b's change lands under #100, before a's #200 drop.
-  EXPECT_LT(doc.find("b111 "), doc.find("#200"));
-}
-
-TEST(Vcd, StableOrderForSameTimeChanges) {
-  VcdWriter vcd;
-  auto a = vcd.add_signal("a", 1);
-  auto b = vcd.add_signal("b", 1);
-  vcd.change(b, TimePs(10), 1);  // recorded first at t=10
-  vcd.change(a, TimePs(10), 1);
-  const std::string doc = vcd.render();
-  const std::size_t stamp = doc.find("#10");
-  ASSERT_NE(stamp, std::string::npos);
-  // Stable sort: recording order is preserved within the same timestamp.
-  EXPECT_LT(doc.find("1\"", stamp), doc.find("1!", stamp));  // b's code is ", a's is !
-}
-
-TEST(Vcd, SixtyFourBitVectors) {
-  VcdWriter vcd;
-  auto wide = vcd.add_signal("wide", 64);
-  vcd.change(wide, TimePs(0), ~u64{0});
-  vcd.change(wide, TimePs(10), ~u64{0});  // dedup at full width
-  vcd.change(wide, TimePs(20), u64{1} << 63);
-  EXPECT_EQ(vcd.change_count(), 2u);
-  const std::string doc = vcd.render();
-  EXPECT_NE(doc.find("$var wire 64"), std::string::npos);
-  EXPECT_NE(doc.find("b" + std::string(64, '1') + " "), std::string::npos);
-  EXPECT_NE(doc.find("b1" + std::string(63, '0') + " "), std::string::npos);
-}
-
-TEST(Vcd, RejectsBadSignals) {
-  VcdWriter vcd;
-  EXPECT_THROW((void)vcd.add_signal("w0", 0), std::invalid_argument);
-  EXPECT_THROW((void)vcd.add_signal("w65", 65), std::invalid_argument);
-  EXPECT_THROW(vcd.change(99, TimePs(0), 1), std::out_of_range);
 }
 
 }  // namespace

@@ -64,6 +64,7 @@
 #include "serve/soak.hpp"
 #include "txn/crash_soak.hpp"
 #include "txn/soak.hpp"
+#include "txn/stack.hpp"
 #include "txn/wal.hpp"
 
 namespace {
@@ -602,17 +603,18 @@ int write_telemetry_artifacts(const std::string& dir, const serve::ServeSoakRepo
 
 int cmd_serve(const Args& a) {
   serve::ServeSoakConfig cfg = serve_config_from(a);
-  // Placeholder for multi-tenant override: --tenants N replicates the
-  // standard mix N/3 times per class (rounded up) at the same total load.
-  const auto tenants = static_cast<unsigned>(a.get_num("tenants", 3));
-  (void)tenants;  // the mixed preset always runs one tenant per class
-
   const std::string telemetry_out = a.get("telemetry-out", "");
   if (!telemetry_out.empty() || a.options.count("telemetry-us") != 0) {
     cfg.telemetry_interval = TimePs::from_us(a.get_num("telemetry-us", 250));
   }
 
-  auto report = serve::run_soak(cfg);
+  serve::ServeSoakReport report;
+  try {
+    report = serve::run_soak(cfg);
+  } catch (const std::invalid_argument& e) {  // an unknown --dist
+    std::fprintf(stderr, "serve: %s\n", e.what());
+    return 2;
+  }
 
   if (const std::string path = a.get("metrics", ""); !path.empty()) {
     if (auto st = write_text_file(path, report.metrics_json); !st.ok()) {
@@ -639,7 +641,7 @@ int cmd_serve(const Args& a) {
         "\"rejected\": [%llu, %llu, %llu], \"shed\": [%llu, %llu, %llu], "
         "\"timed_out\": [%llu, %llu, %llu], \"retries\": %llu, "
         "\"breaker_opens\": %llu, \"software_fallbacks\": %llu, "
-        "\"fault_fires\": %llu, \"violations\": %zu, \"ok\": %s}\n",
+        "\"fault_fires\": %llu, \"restarts\": %llu, \"violations\": %zu, \"ok\": %s}\n",
         static_cast<unsigned long long>(report.issued), report.rated_rps,
         report.offered_rps, static_cast<unsigned long long>(report.completed[0]),
         static_cast<unsigned long long>(report.completed[1]),
@@ -659,7 +661,8 @@ int cmd_serve(const Args& a) {
         static_cast<unsigned long long>(report.retries),
         static_cast<unsigned long long>(report.breaker_opens),
         static_cast<unsigned long long>(report.software_fallbacks),
-        static_cast<unsigned long long>(report.fault_fires), report.violations.size(),
+        static_cast<unsigned long long>(report.fault_fires),
+        static_cast<unsigned long long>(report.restarts), report.violations.size(),
         report.ok() ? "true" : "false");
   } else {
     std::printf("%s", report.summary().c_str());
@@ -702,7 +705,13 @@ int cmd_slo(const Args& a) {
     }
   }
 
-  auto report = serve::run_soak(cfg);
+  serve::ServeSoakReport report;
+  try {
+    report = serve::run_soak(cfg);
+  } catch (const std::invalid_argument& e) {  // an unknown --dist
+    std::fprintf(stderr, "slo: %s\n", e.what());
+    return 2;
+  }
 
   if (const std::string out = a.get("out", ""); !out.empty()) {
     if (int rc = write_telemetry_artifacts(out, report, "slo"); rc != 0) return rc;
@@ -787,36 +796,14 @@ CacheStatsRun run_cache_workload(core::System& sys, unsigned loads, unsigned mod
   CacheStatsRun out;
   sim::Simulation& sim = sys.sim();
   const bits::Device& device = sys.uparc().config().device;
-
-  std::vector<bits::PartialBitstream> images;
-  region::ModuleLibrary library;
-  std::size_t frames_per_module = 0;
-  for (unsigned m = 0; m < modules; ++m) {
-    bits::GeneratorConfig gen;
-    gen.device = device;
-    gen.target_body_bytes = module_kb * 1024;
-    gen.seed = seed * 1000 + m + 1;
-    gen.design_name = "m" + std::to_string(m);
-    images.push_back(bits::Generator(gen).generate());
-    frames_per_module = images.back().frames.size();
-    if (!library.add_module(gen.design_name, images.back()).ok()) return out;
-  }
-
-  region::Floorplan floorplan(device);
-  const u32 column_stride = static_cast<u32>(frames_per_module / 128 + 1);
-  for (unsigned r = 0; r < regions; ++r) {
-    region::RegionGeometry geom;
-    geom.origin = bits::FrameAddress{0, 0, 0, 1 + r * column_stride, 0};
-    geom.frame_count = static_cast<u32>(frames_per_module);
-    if (!floorplan.add_region("r" + std::to_string(r), geom).ok()) return out;
-  }
-  region::RegionManager manager(sim, "region_mgr", std::move(floorplan), library,
-                                sys.uparc(), sys.plane());
+  const txn::ModuleSet set = txn::make_module_set(device, modules, module_kb, seed);
+  region::RegionManager manager(sim, "region_mgr",
+                                txn::make_floorplan(device, regions, set.frames()),
+                                set.library, sys.uparc(), sys.plane());
 
   for (unsigned i = 0; i < loads; ++i) {
     const std::string module = "m" + std::to_string(i % modules);
     const std::string region = "r" + std::to_string(i % regions);
-    std::map<std::string, std::string> unused;
     std::optional<region::LoadResult> got;
     manager.load(module, region, [&](const region::LoadResult& r) { got = r; });
     sim.run();
@@ -856,14 +843,18 @@ int cmd_cache_stats(const Args& a) {
     std::fprintf(stderr, "cache-stats: unknown --policy (use lru or energy)\n");
     return 2;
   }
-  CacheStatsRun cached = run_cache_workload(sys, loads, modules, regions, module_kb, seed);
-
-  // Identical workload with the cache detached: the baseline every load
-  // pays the full external-storage preload against.
-  core::SystemConfig base_cfg;
-  core::System base(base_cfg);
-  CacheStatsRun uncached =
-      run_cache_workload(base, loads, modules, regions, module_kb, seed);
+  // The identical workload with the cache detached is the baseline every
+  // load pays the full external-storage preload against.
+  core::System base{core::SystemConfig{}};
+  CacheStatsRun cached;
+  CacheStatsRun uncached;
+  try {
+    cached = run_cache_workload(sys, loads, modules, regions, module_kb, seed);
+    uncached = run_cache_workload(base, loads, modules, regions, module_kb, seed);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "cache-stats: %s\n", e.what());
+    return 1;
+  }
 
   const cache::BitstreamCache& c = *sys.cache();
   const auto resident = static_cast<u64>(
@@ -1095,11 +1086,12 @@ void usage(std::FILE* to) {
       "           fleet's rated capacity, with per-request invariants\n"
       "           [--requests N] [--rate X] [--devices N] [--regions N]\n"
       "           [--modules N] [--dist mixed|open|closed|bursty]\n"
-      "           [--faults X] [--queue N] [--tenants N] [--seed S]\n"
+      "           [--faults X] [--queue N] [--seed S]\n"
       "           [--restart-after N] [--metrics f.json] [--health f.json]\n"
       "           [--workers N] [--json]\n"
       "           [--telemetry-out DIR] [--telemetry-us T]\n"
-      "           — exits non-zero on any invariant violation;\n"
+      "           — exits non-zero on any invariant violation, 2 on an\n"
+      "           unknown --dist; --json reports controller restarts;\n"
       "           --workers N runs the fleet's barrier epochs on N threads\n"
       "           (0 = inline; byte-identical artifacts for any N);\n"
       "           --telemetry-out writes telemetry.json/.csv, alerts.json\n"
