@@ -10,101 +10,20 @@
 // `tools/benchdiff` does the finer-grained comparison against the
 // checked-in baseline.
 //
-// These measure the *simulator*, not the paper's hardware. Run with
-// --gbench to get the original google-benchmark suite (codec throughput,
-// per-size reconfiguration latency) instead of the gated run.
-#include <benchmark/benchmark.h>
-
+// These measure the *simulator*, not the paper's hardware; perfbench's
+// layer ledger covers codec throughput and one 247 KB reconfiguration.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 
 #include "bench_util.hpp"
 #include "common/io.hpp"
-#include "compress/registry.hpp"
 #include "core/system.hpp"
 
 namespace {
 
 using namespace uparc;
-
-// ---------------------------------------------------------------------------
-// google-benchmark suite (kept for interactive profiling via --gbench)
-
-void BM_KernelEventThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulation sim;
-    u64 count = 0;
-    std::function<void()> tick = [&] {
-      if (++count < 100'000) sim.schedule_in(TimePs(1000), tick);
-    };
-    sim.schedule_at(TimePs(0), tick);
-    sim.run();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_KernelEventThroughput)->Unit(benchmark::kMillisecond);
-
-void BM_ClockedFsmCycles(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulation sim;
-    sim::Clock clk(sim, "clk", Frequency::mhz(300));
-    u64 cycles = 0;
-    clk.on_rising([&] {
-      if (++cycles >= 100'000) clk.disable();
-    });
-    clk.enable();
-    sim.run();
-    benchmark::DoNotOptimize(cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_ClockedFsmCycles)->Unit(benchmark::kMillisecond);
-
-void BM_Compress(benchmark::State& state) {
-  auto codecs = compress::table1_codecs();
-  auto& codec = *codecs[static_cast<std::size_t>(state.range(0))];
-  auto corpus = bench::reference_corpus(64 * 1024, 1);
-  Bytes data = words_to_bytes(corpus[0].body);
-  for (auto _ : state) {
-    Bytes c = codec.compress(data);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations() * data.size()));
-  state.SetLabel(std::string(codec.name()));
-}
-BENCHMARK(BM_Compress)->DenseRange(0, 6)->Unit(benchmark::kMillisecond);
-
-void BM_Decompress(benchmark::State& state) {
-  auto codecs = compress::table1_codecs();
-  auto& codec = *codecs[static_cast<std::size_t>(state.range(0))];
-  auto corpus = bench::reference_corpus(64 * 1024, 1);
-  Bytes data = words_to_bytes(corpus[0].body);
-  Bytes compressed = codec.compress(data);
-  for (auto _ : state) {
-    auto d = codec.decompress(compressed);
-    benchmark::DoNotOptimize(d.ok());
-  }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations() * data.size()));
-  state.SetLabel(std::string(codec.name()));
-}
-BENCHMARK(BM_Decompress)->DenseRange(0, 6)->Unit(benchmark::kMillisecond);
-
-void BM_FullReconfiguration(benchmark::State& state) {
-  auto bs = bench::one_bitstream(static_cast<std::size_t>(state.range(0)) * 1024);
-  for (auto _ : state) {
-    core::System sys;
-    (void)sys.set_frequency_blocking(Frequency::mhz(362.5));
-    if (!sys.stage(bs).ok()) state.SkipWithError("stage failed");
-    auto r = sys.reconfigure_blocking();
-    benchmark::DoNotOptimize(r.success);
-  }
-  state.SetLabel(std::to_string(state.range(0)) + " KB bitstream");
-}
-BENCHMARK(BM_FullReconfiguration)->Arg(16)->Arg(64)->Arg(247)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Gated run: self-timed throughput + results/BENCH_kernel.json
@@ -226,17 +145,4 @@ int gated_main() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--gbench") == 0) {
-      // Shift --gbench out and hand the rest to google-benchmark.
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      benchmark::Initialize(&argc, argv);
-      benchmark::RunSpecifiedBenchmarks();
-      benchmark::Shutdown();
-      return 0;
-    }
-  }
-  return gated_main();
-}
+int main() { return gated_main(); }

@@ -1,5 +1,6 @@
 #include "analysis/bitstream_lint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bitstream/header.hpp"
@@ -54,9 +55,9 @@ using namespace uparc::bits;
 /// device model.
 [[nodiscard]] bool far_in_device(const FrameAddress& a) { return a.block_type <= 2; }
 
-/// Stateful walk over the packet stream, mirroring bits::parse_body but
-/// collecting diagnostics instead of stopping at the first defect.
-class BodyLinter {
+/// The linter's visitor of bits::walk_packets: collects diagnostics instead
+/// of stopping at the first defect the way bits::parse_body does.
+class BodyLinter final : public PacketVisitor {
  public:
   BodyLinter(const Device& device, WordsView body, const BitstreamLintOptions& opts,
              Report& report)
@@ -64,23 +65,18 @@ class BodyLinter {
 
   void run() {
     if (!lint_preamble()) return;
-    const bool completed = lint_packets();
+    const PacketWalk walk = walk_packets(body_, *this);
     lint_fdri_frames();
     // After a structural abort the missing-CRC/DESYNC checks would only
     // restate that the stream is broken; skip them.
-    if (completed) lint_epilogue();
+    if (!walk.defect) lint_epilogue(walk);
   }
 
  private:
   /// Returns false when no SYNC exists (nothing past the preamble to lint).
   bool lint_preamble() {
-    std::size_t sync = body_.size();
-    for (std::size_t k = 0; k < body_.size(); ++k) {
-      if (body_[k] == kSyncWord) {
-        sync = k;
-        break;
-      }
-    }
+    const std::size_t sync = static_cast<std::size_t>(
+        std::find(body_.begin(), body_.end(), kSyncWord) - body_.begin());
     if (sync == body_.size()) {
       // Point at the first word that stops looking like a preamble — on a
       // corrupted image that is where the SYNC word used to be.
@@ -115,119 +111,82 @@ class BodyLinter {
                  "no bus-width detect sequence (0x000000BB 0x11220044) before SYNC",
                  "real configuration logic auto-detects the bus width from this pair");
     }
-    i_ = sync + 1;
     return true;
   }
 
-  /// Returns false when the walk aborted on a structural defect.
-  bool lint_packets() {
-    while (i_ < body_.size() && !desynced_) {
-      const std::size_t header_pos = i_;
-      const u32 header = body_[i_++];
-      if (header == kDummyWord || header == kNoopWord) continue;
-      const u32 type = packet_type(header);
-      if (type == 1) {
-        if (!lint_type1(header, header_pos)) return false;
-      } else if (type == 2) {
-        r_.error("bs.packet.orphan-type2", Location::word(header_pos),
-                 "type-2 packet without a preceding zero-count type-1 select",
-                 "a type-2 payload must follow a type-1 header that selects the register");
-        return false;  // cannot attribute the payload to a register
-      } else {
-        r_.error("bs.packet.unknown-type", Location::word(header_pos),
-                 "unknown packet type " + std::to_string(type) + " in header " +
-                     hex32(header));
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Returns false when decoding cannot meaningfully continue.
-  bool lint_type1(u32 header, std::size_t header_pos) {
-    const Opcode op = packet_opcode(header);
-    const u32 count = type1_count(header);
-    if (op == Opcode::kNop) {
-      if (count != 0) {
-        r_.error("bs.packet.nop-count", Location::word(header_pos),
-                 "NOP type-1 packet declares a " + std::to_string(count) + "-word payload",
-                 "NOP packets carry no payload; the words after this header would be "
-                 "misparsed as packet headers");
-        return false;
-      }
-      return true;
-    }
-    if (op == Opcode::kRead) {
-      r_.error("bs.packet.read", Location::word(header_pos),
-               "read packet in a partial bitstream",
-               "configuration streams are write-only; readback uses a separate flow");
-      return true;  // read packets carry no inline payload; keep walking
-    }
-    const ConfigReg reg = packet_reg(header);
+  void on_header(ConfigReg reg, std::size_t at) override {
     if (!known_reg(reg)) {
-      r_.error("bs.reg.unknown", Location::word(header_pos),
+      r_.error("bs.reg.unknown", Location::word(at),
                "write to unknown configuration register address " +
                    std::to_string(static_cast<u32>(reg)));
-      // Fall through: the payload length is still trustworthy.
     }
-    if (count > 0) {
-      if (i_ + count > body_.size()) {
-        r_.error("bs.packet.overrun", Location::word(header_pos),
-                 "type-1 payload of " + std::to_string(count) + " words overruns the body (" +
-                     std::to_string(body_.size() - i_) + " words left)",
-                 "the image is truncated or the word count is corrupt");
-        return false;
-      }
-      handle_write(reg, i_, count);
-      i_ += count;
-      return true;
-    }
-    // Zero count: a type-2 packet with the payload must follow (after NOOPs).
-    while (i_ < body_.size() && body_[i_] == kNoopWord) ++i_;
-    if (i_ >= body_.size()) {
-      r_.error("bs.packet.dangling-select", Location::word(header_pos),
-               "type-1 select with no type-2 payload before end of body");
-      return false;
-    }
-    const std::size_t t2_pos = i_;
-    const u32 t2 = body_[i_++];
-    if (packet_type(t2) != 2) {
-      r_.error("bs.packet.dangling-select", Location::word(t2_pos),
-               "expected a type-2 packet after the type-1 select, got " + hex32(t2));
-      return false;
-    }
-    const u32 n = type2_count(t2);
-    if (i_ + n > body_.size()) {
-      r_.error("bs.packet.overrun", Location::word(t2_pos),
-               "type-2 payload of " + std::to_string(n) + " words overruns the body (" +
-                   std::to_string(body_.size() - i_) + " words left)",
-               "the image is truncated or the word count is corrupt");
-      return false;
-    }
-    handle_write(reg, i_, n);
-    i_ += n;
-    return true;
   }
 
-  void handle_write(ConfigReg reg, std::size_t data_pos, u32 count) {
-    if (reg == ConfigReg::kCrc && count > 0) {
+  bool on_defect(PacketDefect d, std::size_t at) override {
+    const u32 header = body_[at];
+    const Location loc = Location::word(at);
+    switch (d) {
+      case PacketDefect::kNopPayload:
+        r_.error("bs.packet.nop-count", loc,
+                 "NOP type-1 packet declares a " + std::to_string(type1_count(header)) +
+                     "-word payload",
+                 "NOP packets carry no payload; the words after this header would be "
+                 "misparsed as packet headers");
+        break;
+      case PacketDefect::kRead:
+        r_.error("bs.packet.read", loc, "read packet in a partial bitstream",
+                 "configuration streams are write-only; readback uses a separate flow");
+        return true;  // read packets carry no inline payload; keep walking
+      case PacketDefect::kOrphanType2:
+        r_.error("bs.packet.orphan-type2", loc,
+                 "type-2 packet without a preceding zero-count type-1 select",
+                 "a type-2 payload must follow a type-1 header that selects the register");
+        break;
+      case PacketDefect::kUnknownType:
+        r_.error("bs.packet.unknown-type", loc,
+                 "unknown packet type " + std::to_string(packet_type(header)) +
+                     " in header " + hex32(header));
+        break;
+      case PacketDefect::kOverrun: {
+        const u32 type = packet_type(header);
+        const u32 count = type == 2 ? type2_count(header) : type1_count(header);
+        r_.error("bs.packet.overrun", loc,
+                 "type-" + std::to_string(type) + " payload of " + std::to_string(count) +
+                     " words overruns the body (" + std::to_string(body_.size() - at - 1) +
+                     " words left)",
+                 "the image is truncated or the word count is corrupt");
+        break;
+      }
+      case PacketDefect::kSelectAtEnd:
+        r_.error("bs.packet.dangling-select", loc,
+                 "type-1 select with no type-2 payload before end of body");
+        break;
+      case PacketDefect::kSelectNotType2:
+        r_.error("bs.packet.dangling-select", loc,
+                 "expected a type-2 packet after the type-1 select, got " + hex32(header));
+        break;
+    }
+    return false;
+  }
+
+  bool on_write(const PacketWrite& w) override {
+    const std::size_t data_pos = w.payload;
+    if (w.reg == ConfigReg::kCrc && w.count > 0) {
       // Compare the embedded checksum against the value recomputed over
       // everything hashed so far (before the CRC word perturbs it).
       const u32 embedded = body_[data_pos];
-      const u32 expected = crc_.value();
       crc_checked_ = true;
-      if (embedded != expected) {
+      if (embedded != w.crc) {
         r_.error("bs.crc.mismatch", Location::word(data_pos),
-                 "embedded CRC " + hex32(embedded) + " != recomputed " + hex32(expected),
+                 "embedded CRC " + hex32(embedded) + " != recomputed " + hex32(w.crc),
                  "the image was corrupted after generation, or a register write was "
                  "reordered");
       }
     }
-    for (u32 k = 0; k < count; ++k) crc_.write(reg, body_[data_pos + k]);
 
-    switch (reg) {
+    switch (w.reg) {
       case ConfigReg::kFar:
-        if (count > 0) {
+        if (w.count > 0) {
           far_ = FrameAddress::unpack(body_[data_pos]);
           if (!far_in_device(far_)) {
             r_.error("bs.far.device-bounds", Location::word(data_pos),
@@ -238,7 +197,7 @@ class BodyLinter {
         }
         break;
       case ConfigReg::kIdcode:
-        if (count > 0) {
+        if (w.count > 0) {
           idcode_pos_ = data_pos;
           if (body_[data_pos] != device_.idcode) {
             r_.error("bs.idcode.mismatch", Location::word(data_pos),
@@ -249,19 +208,15 @@ class BodyLinter {
         }
         break;
       case ConfigReg::kCmd:
-        if (count > 0) {
+        if (w.count > 0) {
           const u32 cmd = body_[data_pos];
           if (!known_cmd(cmd)) {
             r_.error("bs.cmd.unknown", Location::word(data_pos),
                      "unknown CMD opcode " + std::to_string(cmd));
           } else {
             const auto c = static_cast<Command>(cmd);
-            if (c == Command::kRcrc) crc_.reset();
             if (c == Command::kWcfg) wcfg_active_ = true;
-            if (c == Command::kDesync) {
-              desynced_ = true;
-              desync_pos_ = data_pos;
-            }
+            if (c == Command::kDesync) desync_pos_ = data_pos;
           }
         }
         break;
@@ -275,11 +230,12 @@ class BodyLinter {
           fdri_start_ = far_;
           fdri_pos_ = data_pos;
         }
-        fdri_words_ += count;
+        fdri_words_ += w.count;
         break;
       default:
         break;
     }
+    return true;
   }
 
   void lint_fdri_frames() {
@@ -324,13 +280,13 @@ class BodyLinter {
     }
   }
 
-  void lint_epilogue() {
+  void lint_epilogue(const PacketWalk& walk) {
     if (idcode_pos_ == kNoPos) {
       r_.warning("bs.idcode.missing", Location::word(body_.size() ? body_.size() - 1 : 0),
                  "body writes no IDCODE; the ICAP cannot verify the target part");
     }
     if (!crc_checked_) {
-      const auto loc = Location::word(desynced_ ? desync_pos_ : body_.size());
+      const auto loc = Location::word(walk.desynced ? desync_pos_ : body_.size());
       const std::string msg = "stream carries no CRC check packet";
       const std::string hint = "write the CRC register with the running checksum before DESYNC";
       if (opts_.require_crc) {
@@ -339,7 +295,7 @@ class BodyLinter {
         r_.warning("bs.crc.missing", loc, msg, hint);
       }
     }
-    if (!desynced_) {
+    if (!walk.desynced) {
       const std::string msg = "stream never reaches CMD DESYNC";
       const std::string hint = "end the body with CMD=DESYNC so the port releases cleanly";
       if (opts_.require_desync) {
@@ -349,7 +305,7 @@ class BodyLinter {
       }
       return;
     }
-    for (std::size_t k = i_; k < body_.size(); ++k) {
+    for (std::size_t k = walk.end; k < body_.size(); ++k) {
       if (!is_pad(body_[k])) {
         r_.warning("bs.epilogue.trailer", Location::word(k),
                    "non-pad word " + hex32(body_[k]) + " after DESYNC",
@@ -366,8 +322,6 @@ class BodyLinter {
   const BitstreamLintOptions& opts_;
   Report& r_;
 
-  std::size_t i_ = 0;
-  ConfigCrc crc_;
   FrameAddress far_{};
   FrameAddress fdri_start_{};
   std::size_t fdri_pos_ = 0;
@@ -376,7 +330,6 @@ class BodyLinter {
   std::size_t desync_pos_ = 0;
   bool wcfg_active_ = false;
   bool crc_checked_ = false;
-  bool desynced_ = false;
 };
 
 }  // namespace

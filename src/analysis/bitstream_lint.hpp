@@ -8,6 +8,9 @@
 // containers — a codec-aware dry decode of the wire header and payload.
 // Everything the ICAP would reject mid-stream (and some things it would
 // not notice until the final CRC) is caught here, before a word is staged.
+// The body linter is a visitor of bits::walk_packets, the reader parse_body
+// uses too; it is stricter than parse_body on register semantics (unknown
+// registers and commands, FDRI before WCFG, IDCODE and FAR bounds).
 #pragma once
 
 #include <optional>

@@ -1,4 +1,4 @@
-// Packet-level bitstream body construction and the decoded representation.
+// Packet-level bitstream body construction and the running configuration CRC.
 #pragma once
 
 #include <vector>
@@ -47,12 +47,6 @@ class PacketWriter {
 
  private:
   Words words_;
-};
-
-/// One decoded register write from a bitstream body.
-struct RegWrite {
-  ConfigReg reg;
-  Words data;
 };
 
 }  // namespace uparc::bits

@@ -3,118 +3,71 @@
 #include "bitstream/parser.hpp"
 
 namespace uparc::bits {
+namespace {
+
+/// relocate's visitor: rewrites the FAR payload and patches the CRC word
+/// with the checksum the walk recomputed over the rewritten stream.
+struct FarCrcPatch final : PacketVisitor {
+  Words& body;
+  u32 far;
+  std::size_t far_words = 0;
+  bool crc_seen = false;
+
+  FarCrcPatch(Words& b, FrameAddress start) : body(b), far(start.pack()) {}
+  bool on_write(const PacketWrite& w) override {
+    if (w.count > 0 && w.reg == ConfigReg::kFar) {
+      far_words += w.count;  // more than one word is refused below
+      body[w.payload] = far;
+    }
+    if (w.count > 0 && w.reg == ConfigReg::kCrc) {
+      crc_seen = true;
+      body[w.payload] = w.crc;
+    }
+    return true;
+  }
+};
+
+/// Relocates `body` in place; returns the validating parse of the result.
+Result<ParsedBody> relocate_in_place(const Device& device, Words& body, FrameAddress new_start) {
+  FarCrcPatch patch(body, new_start);
+  const PacketWalk walk = walk_packets(body, patch);
+  if (!walk.synced) return make_error("relocate: no sync word");
+  if (walk.defect) return make_error("relocate: " + std::string(describe(*walk.defect)));
+  if (patch.far_words == 0) return make_error("relocate: body carries no FAR write");
+  if (patch.far_words > 1) {
+    return make_error("relocate: multi-FAR bodies unsupported (multiple regions)");
+  }
+  if (!patch.crc_seen) return make_error("relocate: body carries no CRC write");
+
+  // Validate by parsing: the CRC must check out at the new address.
+  auto parsed = parse_body(device, body);
+  if (parsed.ok() && !parsed.value().crc_ok) {
+    return make_error("relocate: internal CRC patch failed");
+  }
+  return parsed;
+}
+
+}  // namespace
 
 Result<Words> relocate_body(const Device& device, WordsView body, FrameAddress new_start) {
   Words out(body.begin(), body.end());
-
-  // Walk the packet stream, tracking the positions of FAR data words and the
-  // CRC data word, while recomputing the running checksum with the new FAR.
-  std::size_t i = 0;
-  while (i < out.size() && out[i] != kSyncWord) ++i;
-  if (i == out.size()) return make_error("relocate: no sync word");
-  ++i;
-
-  ConfigCrc crc;
-  std::size_t far_count = 0;
-  std::size_t crc_pos = 0;
-  bool crc_seen = false;
-  bool desynced = false;
-
-  auto process_payload = [&](ConfigReg reg, std::size_t pos, u32 count) {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (reg == ConfigReg::kFar) {
-        ++far_count;
-        out[pos + k] = new_start.pack();
-      }
-      if (reg == ConfigReg::kCrc) {
-        crc_pos = pos + k;
-        crc_seen = true;
-        out[pos + k] = crc.value();  // patch with the recomputed checksum
-      }
-      crc.write(reg, out[pos + k]);
-      if (reg == ConfigReg::kCmd) {
-        const auto cmd = static_cast<Command>(out[pos + k]);
-        if (cmd == Command::kRcrc) crc.reset();
-        if (cmd == Command::kDesync) desynced = true;
-      }
-    }
-  };
-
-  while (i < out.size() && !desynced) {
-    const u32 header = out[i++];
-    if (header == kDummyWord || header == kNoopWord) continue;
-    const u32 type = packet_type(header);
-    if (type == 1) {
-      const Opcode op = packet_opcode(header);
-      if (op == Opcode::kNop) continue;
-      if (op == Opcode::kRead) return make_error("relocate: read packets unsupported");
-      const ConfigReg reg = packet_reg(header);
-      const u32 count = type1_count(header);
-      if (count > 0) {
-        if (i + count > out.size()) return make_error("relocate: truncated type-1 payload");
-        process_payload(reg, i, count);
-        i += count;
-      } else {
-        while (i < out.size() && out[i] == kNoopWord) ++i;
-        if (i >= out.size()) return make_error("relocate: dangling type-1 select");
-        const u32 t2 = out[i++];
-        if (packet_type(t2) != 2) return make_error("relocate: expected type-2 packet");
-        const u32 n = type2_count(t2);
-        if (i + n > out.size()) return make_error("relocate: truncated type-2 payload");
-        process_payload(reg, i, n);
-        i += n;
-      }
-    } else {
-      return make_error("relocate: malformed packet stream");
-    }
-  }
-
-  if (far_count == 0) return make_error("relocate: body carries no FAR write");
-  if (far_count > 1) {
-    return make_error("relocate: multi-FAR bodies unsupported (multiple regions)");
-  }
-  if (!crc_seen) return make_error("relocate: body carries no CRC write");
-  (void)crc_pos;
-
-  // Validate by re-parsing: CRC must check out at the new address.
-  auto parsed = parse_body(device, out);
+  auto parsed = relocate_in_place(device, out, new_start);
   if (!parsed.ok()) return parsed.error();
-  if (!parsed.value().crc_ok) return make_error("relocate: internal CRC patch failed");
   return out;
 }
 
 Result<PartialBitstream> relocate(const PartialBitstream& bs, FrameAddress new_start) {
-  // Device is identified by the IDCODE embedded in the body.
-  std::optional<Device> device;
-  for (std::size_t i = 0; i + 1 < bs.body.size(); ++i) {
-    if (bs.body[i] == type1(Opcode::kWrite, ConfigReg::kIdcode, 1)) {
-      device = device_by_idcode(bs.body[i + 1]);
-      break;
-    }
-  }
+  const std::optional<Device> device = identify_device(bs.body);
   if (!device) return make_error("relocate: could not identify device from IDCODE");
-
-  auto new_body = relocate_body(*device, bs.body, new_start);
-  if (!new_body.ok()) return new_body.error();
-
-  PartialBitstream out = bs;
-  out.body = std::move(new_body).value();
-  // Rebuild the ground-truth frames from a parse of the new body (the
-  // fdri_offset/fdri_words hints may be absent on bitstreams reconstructed
-  // from files).
-  auto parsed = parse_body(*device, out.body);
+  PartialBitstream out{bs.header, bs.body, bs.fdri_offset, bs.fdri_words, {}};
+  auto parsed = relocate_in_place(*device, out.body, new_start);
   if (!parsed.ok()) return parsed.error();
   out.frames = std::move(parsed.value().frames);
   if (!out.frames.empty()) {
-    // Refresh the hints so downstream consumers stay consistent.
+    // Refresh the hints from the parse (they may be absent on bitstreams
+    // reconstructed from files).
+    out.fdri_offset = parsed.value().fdri_offset;
     out.fdri_words = out.frames.size() * device->frame_words;
-    for (std::size_t i = 0; i + 1 < out.body.size(); ++i) {
-      if (out.body[i] == type1(Opcode::kWrite, ConfigReg::kFdri, 0) &&
-          packet_type(out.body[i + 1]) == 2) {
-        out.fdri_offset = i + 2;
-        break;
-      }
-    }
   }
   return out;
 }

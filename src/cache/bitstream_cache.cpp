@@ -22,6 +22,12 @@ std::string_view to_string(CacheTier tier) {
 
 namespace {
 
+// Manager cycles charged on a hit, on top of the tag check core::Uparc
+// charges for every lookup.
+constexpr u64 kHotCopyCyclesPerWord = 1;    ///< BRAM-to-BRAM burst (dual port)
+constexpr u64 kLandingCyclesPerWord = 1;    ///< DDR2 burst -> BRAM landing copy
+constexpr u64 kRelocateCyclesPerFrame = 4;  ///< FAR/CRC patch per frame
+
 // Fold the per-frame data CRCs (address-independent) into one word so the
 // key survives relocation. GoldenSignature already computes exactly the
 // per-frame CRC32s the readback scrubber verifies against.
@@ -246,12 +252,12 @@ std::optional<BitstreamCache::Served> BitstreamCache::lookup(
   if (e.hot) {
     served.tier = CacheTier::kHot;
     served.words = e.hot_words;
-    served.copy_cycles = static_cast<u64>(served.words.size()) * cfg_.hot_copy_cycles_per_word;
+    served.copy_cycles = static_cast<u64>(served.words.size()) * kHotCopyCyclesPerWord;
   } else {
     served.tier = CacheTier::kStaging;
     const unsigned ddr_cycles = ddr_.read_burst(e.ddr_offset, e.words, served.words);
     served.copy_cycles =
-        ddr_cycles + static_cast<u64>(e.words) * cfg_.landing_cycles_per_word;
+        ddr_cycles + static_cast<u64>(e.words) * kLandingCyclesPerWord;
   }
 
   // Integrity gate: the stored copy must still match what was admitted. A
@@ -291,7 +297,7 @@ std::optional<BitstreamCache::Served> BitstreamCache::lookup(
     served.frames = std::move(reloc.value().frames);
     served.relocated = true;
     served.copy_cycles +=
-        static_cast<u64>(key.frame_count) * cfg_.relocate_cycles_per_frame;
+        static_cast<u64>(key.frame_count) * kRelocateCyclesPerFrame;
     ++relocations_;
     metrics().counter(name() + ".relocations").add();
   }

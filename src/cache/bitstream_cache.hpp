@@ -6,8 +6,8 @@
 //                    the requested image is already in the bitstream BRAM,
 //                    so a re-stage costs only the lookup.
 //   L1 "hot"       — a handful of BRAM slots carved next to the staging
-//                    window; a hit is a BRAM-to-BRAM burst at
-//                    hot_copy_cycles_per_word (port A never leaves chip).
+//                    window; a hit is a BRAM-to-BRAM burst at one
+//                    manager cycle per word (port A never leaves chip).
 //   L2 "staging"   — a DDR2 staging tier (own mem::Ddr2 timing model); a
 //                    hit pays the real controller burst cycles plus the
 //                    BRAM landing copy. The tier fills by snooping the
@@ -120,10 +120,6 @@ class BitstreamCache : public sim::Module {
     std::size_t hot_slots = 2;             ///< L1 slot count
     std::size_t hot_slot_bytes = 64 * 1024;  ///< L1 slot capacity
     std::size_t staging_bytes = 8 * 1024 * 1024;  ///< L2 DDR2 tier size
-    u64 hot_copy_cycles_per_word = 1;   ///< BRAM-to-BRAM burst (dual port)
-    u64 landing_cycles_per_word = 1;    ///< DDR2 burst -> BRAM landing copy
-    u64 lookup_cycles = 24;             ///< tag check in the manager
-    u64 relocate_cycles_per_frame = 4;  ///< FAR/CRC patch per frame
   };
 
   /// What a hit hands back to the controller.

@@ -23,16 +23,12 @@ ctrl::ReconfigResult stalled_result(sim::Simulation& sim, std::string what) {
 
 }  // namespace
 
-System::System(SystemConfig config) : config_(config) {
-  if (config_.with_power_rail) {
-    rail_ = std::make_unique<power::Rail>(sim_, "vccint");
-  }
+System::System(SystemConfig config)
+    : config_(config), rail_(std::make_unique<power::Rail>(sim_, "vccint")) {
   if (config_.trace) {
     tracer_ = std::make_unique<obs::Tracer>(sim_);
-    if (rail_ != nullptr) {
-      tracer_->set_energy_probe(
-          [this](TimePs t0, TimePs t1) { return rail_->energy_uj(t0, t1); });
-    }
+    tracer_->set_energy_probe(
+        [this](TimePs t0, TimePs t1) { return rail_->energy_uj(t0, t1); });
     sim_.set_tracer(tracer_.get());
   }
   plane_ = std::make_unique<icap::ConfigPlane>(sim_, "config_plane", config_.uparc.device);
@@ -53,7 +49,7 @@ std::string System::trace_json() {
   if (tracer_ == nullptr) return "{}";
   tracer_->end_all();
   std::vector<obs::CounterTrack> extra;
-  if (rail_ != nullptr && !rail_->steps().empty()) {
+  if (!rail_->steps().empty()) {
     obs::CounterTrack track;
     track.name = "vccint_mw";
     for (const power::RailStep& s : rail_->steps()) {

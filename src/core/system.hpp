@@ -21,7 +21,6 @@ namespace uparc::core {
 
 struct SystemConfig {
   UparcConfig uparc{};
-  bool with_power_rail = true;
   /// Attaches a bitstream cache (hot BRAM slots + DDR2 staging tier) to the
   /// controller: repeated stages of the same content skip the external-
   /// storage preload. Off by default to keep the seed timing unchanged.

@@ -11,14 +11,25 @@
 
 namespace uparc::core {
 
+// The paper's prototype (Sec. III-IV): a 256 KB bitstream BRAM, DyCloGen fed
+// by the 100 MHz oscillator through DCMs that lock in 50 us, a typical part
+// at the nominal 1.0 V / 20 C, and a 255 MHz ceiling in compressed mode.
+constexpr std::size_t kBramBytes = 256 * 1024;
+constexpr Frequency kOscillator = Frequency::mhz(100);
+constexpr TimePs kDcmLockTime = TimePs::from_us(50);
+constexpr u64 kSiliconSample = 0;
+constexpr OperatingConditions kConditions{};
+constexpr Frequency kCompressedModeFmax = Frequency::mhz(255);
+constexpr u64 kCacheLookupCycles = 24;  ///< bitstream-cache tag check, manager cycles
+
 Uparc::Uparc(sim::Simulation& sim, std::string name, icap::Icap& port, UparcConfig config,
              power::Rail* rail)
     : ReconfigController(sim, std::move(name)),
       config_(config),
       port_(port),
       rail_(rail),
-      dyclogen_(sim, this->name() + ".dyclogen", config.f_in, config.dcm_lock_time),
-      bram_(sim, this->name() + ".bram", config.bram_bytes),
+      dyclogen_(sim, this->name() + ".dyclogen", kOscillator, kDcmLockTime),
+      bram_(sim, this->name() + ".bram", kBramBytes),
       decomp_(sim, this->name() + ".decomp", dyclogen_.clock(clocking::ClockId::kDecompress),
               compress::HardwareProfile{}),
       urec_(sim, this->name() + ".urec", dyclogen_.clock(clocking::ClockId::kReconfig), bram_,
@@ -28,8 +39,8 @@ Uparc::Uparc(sim::Simulation& sim, std::string name, icap::Icap& port, UparcConf
       preloader_(sim, this->name() + ".preloader", manager_, bram_),
       control_(sim, this->name() + ".control", manager_, rail, config.wait_mode,
                config.manager.control_burst_mw, config.manager.active_wait_mw),
-      timing_(config.device, config.silicon_sample_seed),
-      adapter_(dyclogen_, timing_.max_reliable(config.conditions), control_.control_overhead(),
+      timing_(config.device, kSiliconSample),
+      adapter_(dyclogen_, timing_.max_reliable(kConditions), control_.control_overhead(),
                config.wait_mode, config.manager.active_wait_mw),
       codec_id_(config.codec) {
   codec_impl_ = compress::make_codec(codec_id_);
@@ -49,8 +60,8 @@ void Uparc::bind_power(power::Rail* rail) {
 }
 
 Frequency Uparc::max_frequency() const {
-  const Frequency reliable = timing_.max_reliable(config_.conditions);
-  return mode_compressed_ ? std::min(reliable, config_.compressed_mode_fmax) : reliable;
+  const Frequency reliable = timing_.max_reliable(kConditions);
+  return mode_compressed_ ? std::min(reliable, kCompressedModeFmax) : reliable;
 }
 
 Status Uparc::set_codec(compress::CodecId codec) {
@@ -181,8 +192,7 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative)
         // check is charged (the re-store rewrites identical content).
         last_stage_tier_ = cache::CacheTier::kResident;
         metrics().counter(name() + ".cache_resident_hits").add();
-        st = preloader_.preload_cached(false, bs.body, cache_->config().lookup_cycles,
-                                       staged_cb);
+        st = preloader_.preload_cached(false, bs.body, kCacheLookupCycles, staged_cb);
         served_from_cache = st.ok();
       } else {
         const bits::FrameAddress* origin =
@@ -192,7 +202,7 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative)
           last_stage_tier_ = served->tier;
           resident_.reset();
           st = preloader_.preload_cached(
-              false, served->words, cache_->config().lookup_cycles + served->copy_cycles,
+              false, served->words, kCacheLookupCycles + served->copy_cycles,
               staged_cb);
           served_from_cache = st.ok();
         } else if (served) {
@@ -238,7 +248,7 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative)
       dyclogen_.request_frequency(clocking::ClockId::kDecompress,
                                   codec_impl_->hardware().fmax);
       st = preloader_.preload_cached(true, staged_container_,
-                                     cache_->config().lookup_cycles, staged_cb);
+                                     kCacheLookupCycles, staged_cb);
       served_from_cache = st.ok();
     } else if (cache_ != nullptr) {
       // Containers are pinned to their origin FAR, so no relocation here.
@@ -261,7 +271,7 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative)
         dyclogen_.request_frequency(clocking::ClockId::kDecompress,
                                     codec_impl_->hardware().fmax);
         st = preloader_.preload_cached(true, staged_container_,
-                                       cache_->config().lookup_cycles + served->copy_cycles,
+                                       kCacheLookupCycles + served->copy_cycles,
                                        staged_cb);
         served_from_cache = st.ok();
       }

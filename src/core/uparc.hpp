@@ -24,20 +24,16 @@
 
 namespace uparc::core {
 
+/// The paper's prototype values (BRAM size, oscillator, DCM lock time,
+/// silicon sample, operating conditions, compressed-mode ceiling) are fixed
+/// as constants in uparc.cpp.
 struct UparcConfig {
   bits::Device device = bits::kVirtex5Sx50t;
-  std::size_t bram_bytes = 256 * 1024;  ///< paper's bitstream BRAM
-  Frequency f_in = Frequency::mhz(100); ///< system oscillator into DyCloGen
   /// Manager implementation: the paper's MicroBlaze by default, or the
   /// §III-A small-hardware-modules alternative (hardware_fsm_profile()).
   manager::ManagerProfile manager = manager::microblaze_profile();
   manager::WaitMode wait_mode = manager::WaitMode::kActiveWait;
   compress::CodecId codec = compress::CodecId::kXMatchPro;
-  OperatingConditions conditions{};
-  u64 silicon_sample_seed = 0;          ///< 0 = typical part
-  TimePs dcm_lock_time = TimePs::from_us(50);
-  /// Compressed-mode UReC/ICAP ceiling (paper: 255 MHz).
-  Frequency compressed_mode_fmax = Frequency::mhz(255);
   /// Pre-flight static analysis: stage() lints the image and rejects it
   /// (ErrorCause::kBadInput, naming the first violated rule) before a
   /// single word is copied into the bitstream BRAM.

@@ -36,19 +36,16 @@ Result<bits::PartialBitstream> ModuleLibrary::original(const std::string& name) 
   auto header = bits::parse_header(file.value());
   if (!header.ok()) return header.error();
   const auto& ph = header.value();
-
-  // Identify the device from the body's IDCODE via a full parse.
-  for (const auto& device : {bits::kVirtex5Sx50t, bits::kVirtex6Lx240t}) {
-    auto parsed = bits::parse_file(device, file.value());
-    if (!parsed.ok() || parsed.value().body.idcode != device.idcode) continue;
-    bits::PartialBitstream bs;
-    bs.header = parsed.value().header;
-    bs.body = bytes_to_words(
-        BytesView(file.value()).subspan(ph.body_offset, bs.header.body_bytes));
-    bs.frames = parsed.value().body.frames;
-    return bs;
-  }
-  return make_error("stored module '" + name + "' has an unrecognizable device");
+  bits::PartialBitstream bs;
+  bs.header = ph.header;
+  bs.body = bytes_to_words(
+      BytesView(file.value()).subspan(ph.body_offset, bs.header.body_bytes));
+  const std::optional<bits::Device> device = bits::identify_device(bs.body);
+  if (!device) return make_error("stored module '" + name + "' has an unrecognizable device");
+  auto parsed = bits::parse_body(*device, bs.body);
+  if (!parsed.ok()) return parsed.error();
+  bs.frames = std::move(parsed.value().frames);
+  return bs;
 }
 
 Result<bits::PartialBitstream> ModuleLibrary::instantiate(const std::string& name,

@@ -10,6 +10,11 @@ namespace uparc::txn {
 
 namespace {
 
+/// Rollback rounds (each one recovery run + readback-verify) before the
+/// region is condemned; past kBlankAfterRounds they program the blank stub.
+constexpr unsigned kMaxRollbackRounds = 12;
+constexpr unsigned kBlankAfterRounds = 4;
+
 /// Per-frame golden signature of an image as a WAL payload fragment:
 /// [[packed_far, crc32], ...] in frame order.
 void golden_frames_json(std::ostringstream& os, const bits::PartialBitstream& image) {
@@ -271,10 +276,6 @@ void TxnManager::on_forward(const manager::RecoveryOutcome& o) {
     rollback_round(out_.error);
     return;
   }
-  if (!policy_.verify_commit) {
-    commit();
-    return;
-  }
   start_verify(VerifyTarget::kCommit, image_.frames);
 }
 
@@ -336,7 +337,7 @@ void TxnManager::rollback_round(std::string reason) {
   // must never serve a later stage. Purge before anything else so even a
   // budget-exhausted failure leaves no poisoned entry behind.
   uparc_.cache_invalidate(image_);
-  if (out_.rollback_rounds >= policy_.max_rollback_rounds) {
+  if (out_.rollback_rounds >= kMaxRollbackRounds) {
     fail("rollback budget exhausted after " + std::to_string(out_.rollback_rounds) +
          " rounds; last: " + reason);
     return;
@@ -350,11 +351,11 @@ void TxnManager::rollback_round(std::string reason) {
   }
 
   // Restore the retained golden copy while we still trust it; past
-  // blank_after_rounds (or with nothing to restore) escalate to the safe
+  // kBlankAfterRounds (or with nothing to restore) escalate to the safe
   // blank stub — smaller, so each round exposes fewer fault opportunities.
   const bits::PartialBitstream* good = last_good(region_);
   const bool use_blank =
-      good == nullptr || out_.rollback_rounds > policy_.blank_after_rounds;
+      good == nullptr || out_.rollback_rounds > kBlankAfterRounds;
   if (use_blank && !blank_built_) {
     blank_ = make_blank_bitstream(uparc_.config().device, image_.frames.front().address,
                                   image_.frames.size());

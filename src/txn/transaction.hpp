@@ -13,7 +13,7 @@
 //     │      COMMITTED ◄─ golden copy     rollback loop (bounded rounds):
 //     │                   retained          re-program last-known-good from
 //     │ forward failed                      the retained golden copy; after
-//     └──────────────────────────────────►  blank_after_rounds rounds (or
+//     └──────────────────────────────────►  kBlankAfterRounds rounds (or
 //                                           with no prior module) escalate
 //                                           to a synthesized safe blank stub
 //                                           — every round readback-verified
@@ -47,15 +47,6 @@ struct TxnPolicy {
   manager::RecoveryPolicy forward{};
   /// Recovery envelope for each rollback round (per re-program).
   manager::RecoveryPolicy rollback{};
-  /// Total rollback rounds (each = one recovery run + readback-verify)
-  /// before the transaction is declared failed and the region condemned.
-  unsigned max_rollback_rounds = 12;
-  /// Rounds spent restoring last-good before escalating to the blank stub
-  /// (a blank is smaller, so it exposes fewer fault opportunities).
-  unsigned blank_after_rounds = 4;
-  /// Readback-verify the new image before committing. Rollbacks are always
-  /// verified regardless — an unverified rollback is no rollback at all.
-  bool verify_commit = true;
   HealthPolicy health{};
 };
 

@@ -7,6 +7,8 @@
 #include "analysis/bitstream_lint.hpp"
 #include "analysis/model_lint.hpp"
 #include "bitstream/generator.hpp"
+#include "bitstream/parser.hpp"
+#include "bitstream/relocate.hpp"
 #include "bitstream/writer.hpp"
 #include "common/units.hpp"
 #include "compress/registry.hpp"
@@ -135,6 +137,83 @@ TEST(BitstreamLint, OrphanType2IsAnError) {
   const analysis::Diagnostic* d = r.find("bs.packet.orphan-type2");
   ASSERT_NE(d, nullptr) << r.render_text();
   EXPECT_EQ(d->location.offset, at);
+}
+
+/// parse_body and relocate_body walk the same packet reader as the linter:
+/// a body with a structural defect must fail both.
+void expect_parse_and_relocate_reject(const Words& body) {
+  auto parsed = bits::parse_body(bits::kVirtex5Sx50t, body);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().cause, ErrorCause::kBadInput);
+  EXPECT_FALSE(
+      bits::relocate_body(bits::kVirtex5Sx50t, body, bits::FrameAddress{0, 0, 1, 1, 0}).ok());
+}
+
+TEST(BitstreamLint, UnknownPacketTypeNamesRuleAndOffset) {
+  bits::PacketWriter pw;
+  pw.prologue();
+  Words body = pw.take();
+  const std::size_t at = body.size();
+  body.push_back(0x60000000u);  // header type 3
+  body.push_back(bits::kNoopWord);
+  Report r = analysis::lint_body(bits::kVirtex5Sx50t, body);
+  ASSERT_EQ(r.diagnostics().size(), 1u) << r.render_text();
+  const analysis::Diagnostic& d = r.diagnostics().front();
+  EXPECT_EQ(d.rule, "bs.packet.unknown-type");
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.location.offset, at);
+  expect_parse_and_relocate_reject(body);
+}
+
+TEST(BitstreamLint, SelectAtEndOfBodyIsDanglingAtTheSelect) {
+  bits::PacketWriter pw;
+  pw.prologue();
+  pw.command(bits::Command::kWcfg);
+  Words body = pw.take();
+  const std::size_t at = body.size();
+  body.push_back(bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kFdri, 0));
+  body.push_back(bits::kNoopWord);  // NOOPs may sit between select and type-2
+  Report r = analysis::lint_body(bits::kVirtex5Sx50t, body);
+  ASSERT_EQ(r.diagnostics().size(), 1u) << r.render_text();
+  const analysis::Diagnostic& d = r.diagnostics().front();
+  EXPECT_EQ(d.rule, "bs.packet.dangling-select");
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.location.offset, at);
+  expect_parse_and_relocate_reject(body);
+}
+
+TEST(BitstreamLint, SelectBeforeNonType2IsDanglingAtTheIntruder) {
+  bits::PacketWriter pw;
+  pw.prologue();
+  pw.command(bits::Command::kWcfg);
+  Words body = pw.take();
+  body.push_back(bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kFdri, 0));
+  body.push_back(bits::kNoopWord);
+  const std::size_t at = body.size();
+  body.push_back(bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kCmd, 1));
+  body.push_back(static_cast<u32>(bits::Command::kDesync));
+  Report r = analysis::lint_body(bits::kVirtex5Sx50t, body);
+  ASSERT_EQ(r.diagnostics().size(), 1u) << r.render_text();
+  const analysis::Diagnostic& d = r.diagnostics().front();
+  EXPECT_EQ(d.rule, "bs.packet.dangling-select");
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.location.offset, at);
+  expect_parse_and_relocate_reject(body);
+}
+
+TEST(BitstreamLint, UnknownRegisterFiresAtTheHeaderBeforeItsOverrun) {
+  bits::PacketWriter pw;
+  pw.prologue();
+  Words body = pw.take();
+  const std::size_t at = body.size();
+  body.push_back(bits::type1(bits::Opcode::kWrite, static_cast<bits::ConfigReg>(20), 5));
+  body.push_back(0u);  // four of the five declared words are missing
+  Report r = analysis::lint_body(bits::kVirtex5Sx50t, body);
+  ASSERT_EQ(r.diagnostics().size(), 2u) << r.render_text();
+  EXPECT_EQ(r.diagnostics()[0].rule, "bs.reg.unknown");
+  EXPECT_EQ(r.diagnostics()[0].location.offset, at);
+  EXPECT_EQ(r.diagnostics()[1].rule, "bs.packet.overrun");
+  EXPECT_EQ(r.diagnostics()[1].location.offset, at);
 }
 
 TEST(BitstreamLint, TruncatedPacketNamesRuleAndOffset) {

@@ -1,11 +1,16 @@
 // Unit tests for the bitstream substrate: format, header, frames, generator,
-// parser, writer.
+// parser, writer, and the packet reader's visitors agreeing on one image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/bitstream_lint.hpp"
 #include "bitstream/generator.hpp"
 #include "bitstream/parser.hpp"
+#include "bitstream/relocate.hpp"
 #include "bitstream/writer.hpp"
 #include "common/units.hpp"
+#include "core/system.hpp"
 
 namespace uparc::bits {
 namespace {
@@ -190,6 +195,54 @@ TEST(Parser, DetectsCorruptedPayloadViaCrc) {
   ASSERT_TRUE(parsed.ok());  // structurally fine
   EXPECT_TRUE(parsed.value().crc_checked);
   EXPECT_FALSE(parsed.value().crc_ok);
+}
+
+TEST(Parser, Type2FramedCrcChecksRelocatesLintsAndLoads) {
+  GeneratorConfig cfg;
+  cfg.target_body_bytes = 16_KiB;
+  PartialBitstream bs = Generator(cfg).generate();
+  // Re-frame the CRC write as a zero-count select plus a one-word type-2
+  // packet, the other legal framing of the same register write.
+  const std::size_t epilogue = bs.fdri_offset + bs.fdri_words;
+  const auto crc = std::find(bs.body.begin() + static_cast<std::ptrdiff_t>(epilogue),
+                             bs.body.end(), type1(Opcode::kWrite, ConfigReg::kCrc, 1));
+  ASSERT_NE(crc, bs.body.end());
+  *crc = type1(Opcode::kWrite, ConfigReg::kCrc, 0);
+  bs.body.insert(crc + 1, type2(Opcode::kWrite, 1));
+  bs.header.body_bytes += 4;
+
+  auto parsed = parse_body(kVirtex5Sx50t, bs.body);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed.value().crc_checked);
+  EXPECT_TRUE(parsed.value().crc_ok);
+
+  auto there = relocate(bs, FrameAddress{0, 1, 0, 99, 0});
+  ASSERT_TRUE(there.ok()) << there.error().message;
+  auto back = relocate(there.value(), bs.frames.front().address);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value().body, bs.body);
+
+  const analysis::Report lint = analysis::lint_body(kVirtex5Sx50t, bs.body);
+  EXPECT_TRUE(lint.empty()) << lint.render_text();
+
+  core::System sys;
+  ASSERT_TRUE(sys.stage(bs).ok());
+  const ctrl::ReconfigResult r = sys.reconfigure_blocking();
+  ASSERT_TRUE(r.success) << r.error;
+  EXPECT_TRUE(sys.plane().contains(bs.frames));
+}
+
+TEST(Parser, IdentifyDeviceStopsAtTheFirstIdcode) {
+  PacketWriter pw;
+  pw.prologue();
+  pw.write_reg(ConfigReg::kIdcode, kVirtex6Lx240t.idcode);
+  pw.write_reg(ConfigReg::kIdcode, kVirtex5Sx50t.idcode);
+  Words body = pw.take();
+  body.push_back(type2(Opcode::kWrite, 4));  // an orphan type-2 the walk never reaches
+  const std::optional<Device> device = identify_device(body);
+  ASSERT_TRUE(device.has_value());
+  EXPECT_EQ(device->idcode, kVirtex6Lx240t.idcode);
+  EXPECT_FALSE(identify_device(Words(8, kDummyWord)).has_value());
 }
 
 TEST(Parser, RejectsMissingSync) {

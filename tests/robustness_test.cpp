@@ -2,6 +2,7 @@
 // identical seeds must produce bit-identical simulations.
 #include <gtest/gtest.h>
 
+#include "analysis/bitstream_lint.hpp"
 #include "bitstream/parser.hpp"
 #include "bitstream/relocate.hpp"
 #include "common/prng.hpp"
@@ -83,8 +84,24 @@ TEST_P(ParserFuzz, MutatedBodiesParseOrFailCleanly) {
     } else {
       EXPECT_FALSE(parsed.error().message.empty());
     }
-    // Relocation on mutated bodies must also fail cleanly or succeed.
-    (void)bits::relocate_body(bits::kVirtex5Sx50t, mutated, bits::FrameAddress{0, 0, 1, 1, 0});
+    // The linter reads the same packet stream: it reports a structural
+    // error exactly when the parser rejects the body.
+    const analysis::Report lint = analysis::lint_body(bits::kVirtex5Sx50t, mutated);
+    bool structural = false;
+    for (const analysis::Diagnostic& d : lint.diagnostics()) {
+      structural = structural ||
+                   (d.severity == analysis::Severity::kError &&
+                    (d.rule == "bs.preamble.sync" || d.rule.rfind("bs.packet.", 0) == 0 ||
+                     d.rule == "bs.fdri.alignment"));
+    }
+    EXPECT_EQ(structural, !parsed.ok()) << "trial " << trial << ":\n" << lint.render_text();
+    // Relocation must fail cleanly or succeed, and never succeed on a body
+    // the parser rejects.
+    auto moved =
+        bits::relocate_body(bits::kVirtex5Sx50t, mutated, bits::FrameAddress{0, 0, 1, 1, 0});
+    if (!parsed.ok()) {
+      EXPECT_FALSE(moved.ok()) << "trial " << trial;
+    }
   }
 }
 

@@ -34,10 +34,13 @@
 //   uparc_cli help
 //
 // Codec names: RLE, LZ77, LZ78, Huffman, X-MatchPRO, Zip, 7-zip.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <system_error>
 #include <utility>
 #include <string>
@@ -79,9 +82,18 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  /// Throws std::invalid_argument naming the flag unless the whole value is
+  /// a finite number.
   [[nodiscard]] double get_num(const std::string& key, double fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    double v = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(v)) {
+      throw std::invalid_argument("--" + key + " expects a number, got '" + text + "'");
+    }
+    return v;
   }
 };
 
@@ -105,6 +117,30 @@ Args parse_args(int argc, char** argv, int start) {
 
 bits::Device device_from(const Args& a) {
   return a.get("device", "v5") == "v6" ? bits::kVirtex6Lx240t : bits::kVirtex5Sx50t;
+}
+
+/// Reads a .bit file and parses it as the device its first IDCODE write
+/// names. The parse, less the frames it hands to the result, lands in
+/// `parsed` when given.
+Result<bits::PartialBitstream> load_bitstream(const std::string& path, bits::Device& device,
+                                              bits::ParsedBody* parsed = nullptr) {
+  auto data = read_file(path);
+  if (!data.ok()) return data.error();
+  const std::string unrecognized = "'" + path + "' is not a recognizable bitstream";
+  auto ph = bits::parse_header(data.value());
+  if (!ph.ok() || ph.value().header.body_bytes % 4 != 0) return make_error(unrecognized);
+  bits::PartialBitstream bs;
+  bs.header = ph.value().header;
+  bs.body = bytes_to_words(
+      BytesView(data.value()).subspan(ph.value().body_offset, bs.header.body_bytes));
+  const std::optional<bits::Device> d = bits::identify_device(bs.body);
+  if (!d) return make_error(unrecognized);
+  auto body = bits::parse_body(*d, bs.body);
+  if (!body.ok()) return make_error(unrecognized);
+  device = *d;
+  bs.frames = std::move(body.value().frames);
+  if (parsed != nullptr) *parsed = std::move(body).value();
+  return bs;
 }
 
 int cmd_gen(const Args& a) {
@@ -137,36 +173,28 @@ int cmd_inspect(const Args& a) {
     std::fprintf(stderr, "inspect: need a .bit file\n");
     return 2;
   }
-  auto data = read_file(a.positional[0]);
-  if (!data.ok()) {
-    std::fprintf(stderr, "inspect: %s\n", data.error().message.c_str());
+  bits::Device device = bits::kVirtex5Sx50t;
+  bits::ParsedBody body;
+  auto bs = load_bitstream(a.positional[0], device, &body);
+  if (!bs.ok()) {
+    std::fprintf(stderr, "inspect: %s\n", bs.error().message.c_str());
     return 1;
   }
-  // Try both devices; the IDCODE check in the parser is lenient at this
-  // level (parse_body records, the ICAP enforces), so probe the header.
-  for (const auto& device : {bits::kVirtex5Sx50t, bits::kVirtex6Lx240t}) {
-    auto parsed = bits::parse_file(device, data.value());
-    if (!parsed.ok()) continue;
-    const auto& pf = parsed.value();
-    if (pf.body.idcode != device.idcode) continue;
-    std::printf("design:    %s\n", pf.header.design_name.c_str());
-    std::printf("part:      %s (%s)\n", pf.header.part_name.c_str(),
-                std::string(device.name).c_str());
-    std::printf("date/time: %s %s\n", pf.header.date.c_str(), pf.header.time.c_str());
-    std::printf("body:      %u bytes\n", pf.header.body_bytes);
-    std::printf("frames:    %zu (frame = %u words)\n", pf.body.frames.size(),
-                device.frame_words);
-    if (!pf.body.frames.empty()) {
-      const auto& s = pf.body.frames.front().address;
-      std::printf("region:    top=%u row=%u column=%u minor=%u\n", s.top, s.row, s.column,
-                  s.minor);
-    }
-    std::printf("crc:       %s\n", pf.body.crc_ok ? "ok" : "MISMATCH");
-    std::printf("desync:    %s\n", pf.body.desynced ? "yes" : "NO");
-    return pf.body.crc_ok ? 0 : 1;
+  const bits::BitstreamHeader& h = bs.value().header;
+  const std::vector<bits::Frame>& frames = bs.value().frames;
+  std::printf("design:    %s\n", h.design_name.c_str());
+  std::printf("part:      %s (%s)\n", h.part_name.c_str(), std::string(device.name).c_str());
+  std::printf("date/time: %s %s\n", h.date.c_str(), h.time.c_str());
+  std::printf("body:      %u bytes\n", h.body_bytes);
+  std::printf("frames:    %zu (frame = %u words)\n", frames.size(), device.frame_words);
+  if (!frames.empty()) {
+    const auto& s = frames.front().address;
+    std::printf("region:    top=%u row=%u column=%u minor=%u\n", s.top, s.row, s.column,
+                s.minor);
   }
-  std::fprintf(stderr, "inspect: not a recognizable bitstream\n");
-  return 1;
+  std::printf("crc:       %s\n", body.crc_ok ? "ok" : "MISMATCH");
+  std::printf("desync:    %s\n", body.desynced ? "yes" : "NO");
+  return body.crc_ok ? 0 : 1;
 }
 
 int cmd_compress(const Args& a) {
@@ -220,25 +248,6 @@ int cmd_ratios(const Args& a) {
     std::printf("\n");
   }
   return 0;
-}
-
-Result<bits::PartialBitstream> load_bitstream(const std::string& path, bits::Device& device) {
-  auto data = read_file(path);
-  if (!data.ok()) return data.error();
-  for (const auto& d : {bits::kVirtex5Sx50t, bits::kVirtex6Lx240t}) {
-    auto parsed = bits::parse_file(d, data.value());
-    if (!parsed.ok() || parsed.value().body.idcode != d.idcode) continue;
-    device = d;
-    bits::PartialBitstream bs;
-    bs.header = parsed.value().header;
-    auto ph = bits::parse_header(data.value());
-    BytesView body_bytes =
-        BytesView(data.value()).subspan(ph.value().body_offset, bs.header.body_bytes);
-    bs.body = bytes_to_words(body_bytes);
-    bs.frames = parsed.value().body.frames;
-    return bs;
-  }
-  return make_error("'" + path + "' is not a recognizable bitstream");
 }
 
 int cmd_run(const Args& a) {
@@ -608,13 +617,7 @@ int cmd_serve(const Args& a) {
     cfg.telemetry_interval = TimePs::from_us(a.get_num("telemetry-us", 250));
   }
 
-  serve::ServeSoakReport report;
-  try {
-    report = serve::run_soak(cfg);
-  } catch (const std::invalid_argument& e) {  // an unknown --dist
-    std::fprintf(stderr, "serve: %s\n", e.what());
-    return 2;
-  }
+  const serve::ServeSoakReport report = serve::run_soak(cfg);
 
   if (const std::string path = a.get("metrics", ""); !path.empty()) {
     if (auto st = write_text_file(path, report.metrics_json); !st.ok()) {
@@ -705,13 +708,7 @@ int cmd_slo(const Args& a) {
     }
   }
 
-  serve::ServeSoakReport report;
-  try {
-    report = serve::run_soak(cfg);
-  } catch (const std::invalid_argument& e) {  // an unknown --dist
-    std::fprintf(stderr, "slo: %s\n", e.what());
-    return 2;
-  }
+  const serve::ServeSoakReport report = serve::run_soak(cfg);
 
   if (const std::string out = a.get("out", ""); !out.empty()) {
     if (int rc = write_telemetry_artifacts(out, report, "slo"); rc != 0) return rc;
@@ -1140,22 +1137,29 @@ int main(int argc, char** argv) {
     usage(stdout);
     return 0;
   }
-  if (cmd == "gen") return cmd_gen(args);
-  if (cmd == "inspect") return cmd_inspect(args);
-  if (cmd == "compress") return cmd_compress(args);
-  if (cmd == "ratios") return cmd_ratios(args);
-  if (cmd == "run") return cmd_run(args);
-  if (cmd == "inject") return cmd_inject(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "soak") return cmd_soak(args);
-  if (cmd == "wal") return cmd_wal(args);
-  if (cmd == "crash-soak") return cmd_crash_soak(args);
-  if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "slo") return cmd_slo(args);
-  if (cmd == "cache-stats") return cmd_cache_stats(args);
-  if (cmd == "lint") return cmd_lint(args);
-  if (cmd == "trace") return cmd_trace(args);
-  if (cmd == "verify-determinism") return cmd_verify_determinism(args);
+  // Bad option values (a malformed number, an unknown --dist, an impossible
+  // fleet shape) are usage errors, not aborts.
+  try {
+    if (cmd == "gen") return cmd_gen(args);
+    if (cmd == "inspect") return cmd_inspect(args);
+    if (cmd == "compress") return cmd_compress(args);
+    if (cmd == "ratios") return cmd_ratios(args);
+    if (cmd == "run") return cmd_run(args);
+    if (cmd == "inject") return cmd_inject(args);
+    if (cmd == "sweep") return cmd_sweep(args);
+    if (cmd == "soak") return cmd_soak(args);
+    if (cmd == "wal") return cmd_wal(args);
+    if (cmd == "crash-soak") return cmd_crash_soak(args);
+    if (cmd == "serve") return cmd_serve(args);
+    if (cmd == "slo") return cmd_slo(args);
+    if (cmd == "cache-stats") return cmd_cache_stats(args);
+    if (cmd == "lint") return cmd_lint(args);
+    if (cmd == "trace") return cmd_trace(args);
+    if (cmd == "verify-determinism") return cmd_verify_determinism(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "uparc_cli %s: %s\n", cmd.c_str(), e.what());
+    return 2;
+  }
   std::fprintf(stderr, "uparc_cli: unknown command '%s'\n", cmd.c_str());
   usage(stderr);
   return 2;
