@@ -73,15 +73,16 @@ int main() {
   // --- background scrubbing of the DSP slot --------------------------------
   auto dsp_golden = lib.instantiate("fir", mgr.floorplan(), *mgr.floorplan().find("slot_dsp"));
   if (!dsp_golden.ok()) return 1;
+  const std::vector<bits::Frame>& dsp_golden_frames = dsp_golden.value()->bitstream().frames;
   std::vector<bits::FrameAddress> dsp_frames;
-  for (const auto& f : dsp_golden.value().frames) dsp_frames.push_back(f.address);
+  for (const auto& f : dsp_golden_frames) dsp_frames.push_back(f.address);
 
   scrub::Readback rb(sys.sim(), "rb", sys.icap());
   scrub::ScrubberConfig scfg;
   scfg.mode = scrub::ScrubMode::kFrameRepair;
   scfg.period = TimePs::from_ms(5);
   scrub::Scrubber scrubber(sys.sim(), "scrubber", sys.uparc(), rb,
-                           dsp_golden.value().frames, scfg);
+                           dsp_golden_frames, scfg);
   scrub::SeuInjector seu(sys.sim(), "seu", sys.plane(), dsp_frames, TimePs::from_ms(8), 3);
 
   std::printf("\nscrubbing slot_dsp (frame-level repair, 5 ms period) under upsets...\n");
@@ -101,6 +102,6 @@ int main() {
   std::printf("  repair bandwidth spent: %.2f ms readback, %.3f ms rewrite\n",
               st.readback_time.ms(), st.repair_time.ms());
   std::printf("  slot_dsp golden after campaign: %s\n",
-              sys.plane().contains(dsp_golden.value().frames) ? "yes" : "NO");
+              sys.plane().contains(dsp_golden_frames) ? "yes" : "NO");
   return 0;
 }

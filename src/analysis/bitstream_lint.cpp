@@ -345,6 +345,17 @@ Report lint_body(const bits::Device& device, WordsView body,
   return r;
 }
 
+LintVerdict lint_verdict(const bits::Device& device, WordsView body) {
+  const Report report = lint_body(device, body);
+  LintVerdict verdict{device, report.diagnostics().size(), std::nullopt};
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.severity != Severity::kError) continue;
+    verdict.first_error = d;
+    break;
+  }
+  return verdict;
+}
+
 Report lint_file(const bits::Device& device, BytesView file,
                  const BitstreamLintOptions& opts) {
   Report r;

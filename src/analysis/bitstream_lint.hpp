@@ -36,6 +36,17 @@ struct BitstreamLintOptions {
 [[nodiscard]] Report lint_body(const bits::Device& device, WordsView body,
                                const BitstreamLintOptions& opts = {});
 
+/// What the stage gate reads from lint_body: the diagnostic count and the
+/// first error (none = the image passes), for the device it linted against.
+struct LintVerdict {
+  bits::Device device;
+  std::size_t diagnostics = 0;
+  std::optional<Diagnostic> first_error;
+};
+
+/// lint_body with default options, reduced to the gate's verdict.
+[[nodiscard]] LintVerdict lint_verdict(const bits::Device& device, WordsView body);
+
 /// Lints a whole .bit file: container header (bs.file.*), then the body.
 /// Body diagnostics keep body-relative word offsets.
 [[nodiscard]] Report lint_file(const bits::Device& device, BytesView file,

@@ -81,6 +81,8 @@ struct Device {
   u32 full_bitstream_kb; ///< full-device bitstream size (binary KB)
   /// Virtex generation: 5 or 6 — used by the timing/power models.
   unsigned family;
+
+  friend constexpr bool operator==(const Device&, const Device&) = default;
 };
 
 /// The two devices the paper evaluates on.

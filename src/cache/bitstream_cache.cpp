@@ -5,7 +5,7 @@
 
 #include "common/crc32.hpp"
 #include "obs/trace.hpp"
-#include "scrub/readback.hpp"
+#include "scrub/signature.hpp"
 
 namespace uparc::cache {
 
@@ -28,40 +28,48 @@ constexpr u64 kHotCopyCyclesPerWord = 1;    ///< BRAM-to-BRAM burst (dual port)
 constexpr u64 kLandingCyclesPerWord = 1;    ///< DDR2 burst -> BRAM landing copy
 constexpr u64 kRelocateCyclesPerFrame = 4;  ///< FAR/CRC patch per frame
 
-// Fold the per-frame data CRCs (address-independent) into one word so the
-// key survives relocation. GoldenSignature already computes exactly the
-// per-frame CRC32s the readback scrubber verifies against.
-u32 content_fold(const bits::PartialBitstream& bs) {
-  scrub::GoldenSignature sig(bs.frames);
-  Crc32 fold;
-  for (const auto& addr : sig.addresses()) {
-    if (const u32* crc = sig.expected_crc(addr)) fold.update_word(*crc);
-  }
-  return fold.value();
+/// Key of an image with ground-truth frames: the fold of the per-frame data
+/// CRCs (address-independent, so the key survives relocation).
+CacheKey relocatable_key(u32 content_fold, std::size_t frames) {
+  CacheKey key;
+  key.content_crc = content_fold;
+  key.frame_count = static_cast<u32>(frames);
+  key.origin_far = 0;  // relocatable: address excluded from identity
+  return key;
+}
+
+/// A container embeds the FAR, so its entry is pinned to the image origin.
+CacheKey pinned_container_key(CacheKey key, const bits::PartialBitstream& bs, u8 codec_id) {
+  key.kind = static_cast<u8>(1 + codec_id);
+  key.origin_far = bs.frames.empty() ? key.origin_far : bs.frames.front().address.pack();
+  return key;
 }
 
 }  // namespace
 
 CacheKey key_of(const bits::PartialBitstream& bs) {
-  CacheKey key;
   if (bs.frames.empty()) {
     // No ground truth: exact-content entry, never relocated.
+    CacheKey key;
     key.content_crc = crc32_words(bs.body);
     key.origin_far = 0xFFFFFFFFu;
     return key;
   }
-  key.content_crc = content_fold(bs);
-  key.frame_count = static_cast<u32>(bs.frames.size());
-  key.origin_far = 0;  // relocatable: address excluded from identity
-  return key;
+  return relocatable_key(scrub::GoldenSignature(bs.frames).content_fold(), bs.frames.size());
 }
 
 CacheKey key_of_compressed(const bits::PartialBitstream& bs, u8 codec_id) {
-  CacheKey key = key_of(bs);
-  key.kind = static_cast<u8>(1 + codec_id);
-  // The container embeds the FAR, so the entry is pinned to this origin.
-  key.origin_far = bs.frames.empty() ? key.origin_far : bs.frames.front().address.pack();
-  return key;
+  return pinned_container_key(key_of(bs), bs, codec_id);
+}
+
+CacheKey key_of(const bits::Image& image) {
+  const bits::PartialBitstream& bs = image.bitstream();
+  if (bs.frames.empty()) return key_of(bs);
+  return relocatable_key(image.content_fold(), bs.frames.size());
+}
+
+CacheKey key_of_compressed(const bits::Image& image, u8 codec_id) {
+  return pinned_container_key(key_of(image), image.bitstream(), codec_id);
 }
 
 double LruPolicy::score(const EntryMeta& e, TimePs /*now*/) const {

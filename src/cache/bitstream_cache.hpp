@@ -14,7 +14,8 @@
 //                    demand DMA burst, so admission itself is free.
 //
 // Entries are content-addressed: the key folds the per-frame data CRC32s
-// (via scrub::GoldenSignature) and deliberately excludes frame addresses,
+// (scrub::GoldenSignature::content_fold; a bits::Image carries the fold
+// already) and deliberately excludes frame addresses,
 // so one cached image serves every region it can be relocated to — a hit
 // at a different origin is rewritten with bits::relocate before serving.
 // Compressed containers are location-pinned (the container hides the FAR),
@@ -31,7 +32,7 @@
 #include <memory>
 #include <optional>
 
-#include "bitstream/generator.hpp"
+#include "bitstream/image.hpp"
 #include "bitstream/relocate.hpp"
 #include "mem/ddr2.hpp"
 #include "sched/energy_policy.hpp"
@@ -71,6 +72,9 @@ struct CacheKey {
 /// Key for the compressed container of `bs` under `codec_id` (the raw
 /// codec-id byte). Pinned to the image's origin FAR.
 [[nodiscard]] CacheKey key_of_compressed(const bits::PartialBitstream& bs, u8 codec_id);
+/// The same keys from an Image's memoized content fold (no frame is hashed).
+[[nodiscard]] CacheKey key_of(const bits::Image& image);
+[[nodiscard]] CacheKey key_of_compressed(const bits::Image& image, u8 codec_id);
 
 /// Per-entry bookkeeping handed to eviction policies.
 struct EntryMeta {

@@ -83,7 +83,11 @@ void Uparc::set_cache(cache::BitstreamCache* cache) {
 }
 
 Status Uparc::stage(const bits::PartialBitstream& bs) {
-  return stage_internal(bs, /*speculative=*/false);
+  return stage_internal(bs, nullptr, /*speculative=*/false);
+}
+
+Status Uparc::stage(const bits::Image& image) {
+  return stage_internal(image.bitstream(), &image, /*speculative=*/false);
 }
 
 Status Uparc::stage_speculative(const bits::PartialBitstream& bs) {
@@ -97,10 +101,11 @@ Status Uparc::stage_speculative(const bits::PartialBitstream& bs) {
     return make_error("UPaRC: speculative stage while demand work is in flight",
                       ErrorCause::kBusy);
   }
-  return stage_internal(bs, /*speculative=*/true);
+  return stage_internal(bs, nullptr, /*speculative=*/true);
 }
 
-Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative) {
+Status Uparc::stage_internal(const bits::PartialBitstream& bs, const bits::Image* image,
+                             bool speculative) {
   if (urec_.busy()) {
     return make_error("UPaRC: stage while a reconfiguration is in flight",
                       ErrorCause::kBusy);
@@ -112,20 +117,20 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative)
   if (config_.lint_gate) {
     const obs::SpanId lint_span =
         tr != nullptr ? tr->begin("lint.check", "lint") : obs::kNoSpan;
-    const analysis::Report report = analysis::lint_body(config_.device, bs.body);
-    const analysis::Diagnostic* first_error = nullptr;
-    for (const analysis::Diagnostic& d : report.diagnostics()) {
-      if (d.severity != analysis::Severity::kError) continue;
-      first_error = &d;
-      break;
+    std::optional<analysis::LintVerdict> fresh;
+    const analysis::LintVerdict* verdict =
+        image != nullptr ? image->lint_for(config_.device) : nullptr;
+    if (verdict == nullptr) {
+      verdict = &fresh.emplace(analysis::lint_verdict(config_.device, bs.body));
     }
+    const std::optional<analysis::Diagnostic>& first_error = verdict->first_error;
     if (tr != nullptr) {
-      tr->arg(lint_span, "diagnostics", static_cast<double>(report.diagnostics().size()));
-      tr->arg(lint_span, "passed", first_error == nullptr);
-      if (first_error != nullptr) tr->arg(lint_span, "rule", first_error->rule);
+      tr->arg(lint_span, "diagnostics", static_cast<double>(verdict->diagnostics));
+      tr->arg(lint_span, "passed", !first_error);
+      if (first_error) tr->arg(lint_span, "rule", first_error->rule);
       tr->end(lint_span);
     }
-    if (first_error != nullptr) {
+    if (first_error) {
       metrics().counter(name() + ".lint_rejects").add();
       return make_error("UPaRC: lint_gate rejected image: " + first_error->rule + " @ " +
                             first_error->location.describe() + ": " + first_error->message,
@@ -139,8 +144,12 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative)
   // --- cache and prefetch bookkeeping --------------------------------------
   std::optional<cache::CacheKey> key;
   if (cache_ != nullptr) {
-    key = raw_fits ? cache::key_of(bs)
-                   : cache::key_of_compressed(bs, static_cast<u8>(codec_id_));
+    const u8 codec = static_cast<u8>(codec_id_);
+    if (image != nullptr) {
+      key = raw_fits ? cache::key_of(*image) : cache::key_of_compressed(*image, codec);
+    } else {
+      key = raw_fits ? cache::key_of(bs) : cache::key_of_compressed(bs, codec);
+    }
     if (!speculative) {
       if (!staging_done_ && staged_payload_bytes_ != 0 && inflight_spec_) {
         // A demand load lands while a speculative copy is still in the DMA:
@@ -442,11 +451,12 @@ void Uparc::reconfigure(ctrl::ReconfigCallback done) {
       });
 }
 
-void Uparc::cache_promote(const bits::PartialBitstream& bs) {
+void Uparc::cache_promote(const bits::Image& image) {
   if (cache_ == nullptr) return;
+  const bits::PartialBitstream& bs = image.bitstream();
   const std::size_t raw_needed = (1 + bs.body.size()) * 4;
   if (raw_needed <= bram_.size_bytes()) {
-    const cache::CacheKey key = cache::key_of(bs);
+    const cache::CacheKey key = cache::key_of(image);
     if (!cache_->contains(key)) {
       // A committed image is known good — cache it even if the original
       // stage predated the cache attachment.
@@ -456,14 +466,14 @@ void Uparc::cache_promote(const bits::PartialBitstream& bs) {
     }
     cache_->promote(key);
   } else {
-    cache_->promote(cache::key_of_compressed(bs, static_cast<u8>(codec_id_)));
+    cache_->promote(cache::key_of_compressed(image, static_cast<u8>(codec_id_)));
   }
 }
 
-void Uparc::cache_invalidate(const bits::PartialBitstream& bs) {
+void Uparc::cache_invalidate(const bits::Image& image) {
   if (cache_ == nullptr) return;
-  const cache::CacheKey raw = cache::key_of(bs);
-  const cache::CacheKey comp = cache::key_of_compressed(bs, static_cast<u8>(codec_id_));
+  const cache::CacheKey raw = cache::key_of(image);
+  const cache::CacheKey comp = cache::key_of_compressed(image, static_cast<u8>(codec_id_));
   cache_->invalidate(raw);
   cache_->invalidate(comp);
   if (resident_ && (*resident_ == raw || *resident_ == comp)) {

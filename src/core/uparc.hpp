@@ -10,6 +10,7 @@
 // future-work feature).
 #pragma once
 
+#include "bitstream/image.hpp"
 #include "cache/bitstream_cache.hpp"
 #include "clocking/dyclogen.hpp"
 #include "compress/registry.hpp"
@@ -59,6 +60,11 @@ class Uparc final : public ctrl::ReconfigController {
   [[nodiscard]] Status stage(const bits::PartialBitstream& bs) override;
   void reconfigure(ctrl::ReconfigCallback done) override;
 
+  /// stage() of an Image's bitstream, reading the lint verdict and cache
+  /// keys the Image memoized instead of recomputing them. A verdict linted
+  /// for another device is not used: the gate lints for this one.
+  [[nodiscard]] Status stage(const bits::Image& image);
+
   // ----- Bitstream cache ----------------------------------------------------
   /// Attaches a bitstream cache: stage() then checks the staging window
   /// (resident), the hot BRAM slots, and the DDR2 staging tier before
@@ -82,8 +88,8 @@ class Uparc final : public ctrl::ReconfigController {
   /// image (admitting it first if needed), rollback purges every key that
   /// could serve it — raw and current-codec compressed — and drops the
   /// resident tag so a poisoned staging window is never trusted.
-  void cache_promote(const bits::PartialBitstream& bs);
-  void cache_invalidate(const bits::PartialBitstream& bs);
+  void cache_promote(const bits::Image& image);
+  void cache_invalidate(const bits::Image& image);
 
   [[nodiscard]] u64 prefetch_hits() const noexcept { return prefetch_hits_; }
   [[nodiscard]] u64 prefetch_mispredicts() const noexcept { return prefetch_mispredicts_; }
@@ -129,7 +135,10 @@ class Uparc final : public ctrl::ReconfigController {
  private:
   void bind_power(power::Rail* rail);
   void on_staged();
-  [[nodiscard]] Status stage_internal(const bits::PartialBitstream& bs, bool speculative);
+  /// `image` is null on the PartialBitstream entry points, which lint and
+  /// hash `bs` from scratch; otherwise `bs` is its bitstream.
+  [[nodiscard]] Status stage_internal(const bits::PartialBitstream& bs,
+                                      const bits::Image* image, bool speculative);
 
   UparcConfig config_;
   icap::Icap& port_;

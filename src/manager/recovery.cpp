@@ -13,9 +13,14 @@ RecoveryManager::RecoveryManager(sim::Simulation& sim, std::string name, core::U
 
 void RecoveryManager::run(const bits::PartialBitstream& bs,
                           std::function<void(const RecoveryOutcome&)> done) {
+  run(bits::Image::build(bs), std::move(done));
+}
+
+void RecoveryManager::run(std::shared_ptr<const bits::Image> image,
+                          std::function<void(const RecoveryOutcome&)> done) {
   if (busy_) throw std::logic_error("RecoveryManager: run while busy: " + name());
   busy_ = true;
-  payload_ = bs;
+  payload_ = std::move(image);
   done_ = std::move(done);
   outcome_ = RecoveryOutcome{};
   outcome_.start = sim_.now();
@@ -24,10 +29,10 @@ void RecoveryManager::run(const bits::PartialBitstream& bs,
   metrics().counter(name() + ".runs").add();
   if (obs::Tracer* tr = tracer()) {
     run_span_ = tr->begin("recovery.run", "recovery");
-    tr->arg(run_span_, "payload_bytes", static_cast<double>(payload_.body.size() * 4));
+    tr->arg(run_span_, "payload_bytes", static_cast<double>(payload_->bitstream().body_bytes()));
   }
 
-  Status st = uparc_.stage(payload_);
+  Status st = uparc_.stage(*payload_);
   if (!st.ok()) {
     ctrl::ReconfigResult r;
     r.error = st.error().message;
@@ -62,7 +67,7 @@ void RecoveryManager::begin_attempt() {
 }
 
 void RecoveryManager::restage_then_attempt() {
-  Status st = uparc_.stage(payload_);
+  Status st = uparc_.stage(*payload_);
   if (!st.ok()) {
     ctrl::ReconfigResult r;
     r.error = "recovery re-stage failed: " + st.error().message;
@@ -83,7 +88,7 @@ TimePs RecoveryManager::attempt_budget() const {
   // the preload copy (copy_loop_word manager cycles per word — an upper
   // bound: compressed containers copy fewer words) plus the stream (one
   // word per CLK_2 cycle) plus header margin, scaled by the slack factor.
-  const double words = static_cast<double>(payload_.body.size() + 256);
+  const double words = static_cast<double>(payload_->bitstream().body.size() + 256);
   const Frequency f = uparc_.dyclogen().frequency(clocking::ClockId::kReconfig);
   const manager::MicroBlaze& mb = uparc_.manager();
   const double us_per_word =

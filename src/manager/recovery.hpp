@@ -108,9 +108,13 @@ class RecoveryManager : public sim::Module {
   RecoveryManager(sim::Simulation& sim, std::string name, core::Uparc& uparc,
                   power::Rail* rail = nullptr, RecoveryPolicy policy = {});
 
-  /// Stages `bs` and reconfigures under the watchdog with bounded retries.
-  /// `done` receives the outcome when the sequence ends (success or
-  /// give-up). Throws if a sequence is already in flight.
+  /// Stages `image` and reconfigures under the watchdog with bounded
+  /// retries; every restage reuses the image's memoized lint verdict and
+  /// cache keys. `done` receives the outcome when the sequence ends
+  /// (success or give-up). Throws if a sequence is already in flight.
+  void run(std::shared_ptr<const bits::Image> image,
+           std::function<void(const RecoveryOutcome&)> done);
+  /// run() of an Image built from `bs` now.
   void run(const bits::PartialBitstream& bs,
            std::function<void(const RecoveryOutcome&)> done);
 
@@ -136,7 +140,7 @@ class RecoveryManager : public sim::Module {
   power::Rail* rail_;
   RecoveryPolicy policy_;
 
-  bits::PartialBitstream payload_;
+  std::shared_ptr<const bits::Image> payload_;
   std::function<void(const RecoveryOutcome&)> done_;
   RecoveryOutcome outcome_;
   Frequency attempt_freq_;

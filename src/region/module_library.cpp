@@ -11,56 +11,72 @@ ModuleLibrary::ModuleLibrary(compress::CodecId storage_codec)
 }
 
 Status ModuleLibrary::add_module(const std::string& name, const bits::PartialBitstream& bs) {
-  if (images_.count(name) != 0) return make_error("duplicate module name: " + name);
-  Bytes file = bits::to_file(bs);
-  StoredImage img;
-  img.original_bytes = file.size();
-  img.compressed_file = codec_->compress(file);
-  images_.emplace(name, std::move(img));
+  if (modules_.count(name) != 0) return make_error("duplicate module name: " + name);
+  const Bytes compressed = codec_->compress(bits::to_file(bs));
+
+  auto file = codec_->decompress(compressed);
+  if (!file.ok()) return file.error();
+  auto header = bits::parse_header(file.value());
+  if (!header.ok()) return header.error();
+  const auto& ph = header.value();
+  bits::PartialBitstream stored;
+  stored.header = ph.header;
+  stored.body = bytes_to_words(
+      BytesView(file.value()).subspan(ph.body_offset, stored.header.body_bytes));
+  const std::optional<bits::Device> device = bits::identify_device(stored.body);
+  if (!device) return make_error("stored module '" + name + "' has an unrecognizable device");
+  auto parsed = bits::parse_body(*device, stored.body);
+  if (!parsed.ok()) return parsed.error();
+  stored.frames = std::move(parsed.value().frames);
+
+  std::vector<u32> crcs = bits::frame_data_crcs(stored.frames);
+  modules_.emplace(name, Module{compressed.size(), std::move(stored), std::move(crcs), {}});
   return Status::success();
+}
+
+void ModuleLibrary::prepare(const Floorplan& floorplan) {
+  for (auto& [name, module] : modules_) {
+    for (const Region& region : floorplan.regions()) {
+      const u32 origin = region.geometry.origin.pack();
+      if (module.placed.count(origin) != 0) continue;
+      auto image = instantiate(name, floorplan, region);
+      if (image.ok()) module.placed.emplace(origin, std::move(image).value());
+    }
+  }
 }
 
 std::size_t ModuleLibrary::stored_bytes() const {
   std::size_t total = 0;
-  for (const auto& [_, img] : images_) total += img.compressed_file.size();
+  for (const auto& [_, module] : modules_) total += module.stored_bytes;
   return total;
 }
 
 Result<bits::PartialBitstream> ModuleLibrary::original(const std::string& name) const {
-  auto it = images_.find(name);
-  if (it == images_.end()) return make_error("unknown module: " + name);
-
-  auto file = codec_->decompress(it->second.compressed_file);
-  if (!file.ok()) return file.error();
-
-  auto header = bits::parse_header(file.value());
-  if (!header.ok()) return header.error();
-  const auto& ph = header.value();
-  bits::PartialBitstream bs;
-  bs.header = ph.header;
-  bs.body = bytes_to_words(
-      BytesView(file.value()).subspan(ph.body_offset, bs.header.body_bytes));
-  const std::optional<bits::Device> device = bits::identify_device(bs.body);
-  if (!device) return make_error("stored module '" + name + "' has an unrecognizable device");
-  auto parsed = bits::parse_body(*device, bs.body);
-  if (!parsed.ok()) return parsed.error();
-  bs.frames = std::move(parsed.value().frames);
-  return bs;
+  auto it = modules_.find(name);
+  if (it == modules_.end()) return make_error("unknown module: " + name);
+  return it->second.original;
 }
 
-Result<bits::PartialBitstream> ModuleLibrary::instantiate(const std::string& name,
-                                                          const Floorplan& floorplan,
-                                                          const Region& target) const {
-  auto bs = original(name);
-  if (!bs.ok()) return bs.error();
+Result<std::shared_ptr<const bits::Image>> ModuleLibrary::instantiate(
+    const std::string& name, const Floorplan& floorplan, const Region& target) const {
+  auto it = modules_.find(name);
+  if (it == modules_.end()) return make_error("unknown module: " + name);
+  const Module& module = it->second;
 
-  auto relocated = bits::relocate(bs.value(), target.geometry.origin);
-  if (!relocated.ok()) return relocated.error();
-
-  if (Status fits = floorplan.check_fits(target, relocated.value()); !fits.ok()) {
+  std::shared_ptr<const bits::Image> image;
+  if (auto placed = module.placed.find(target.geometry.origin.pack());
+      placed != module.placed.end()) {
+    image = placed->second;
+  } else {
+    auto relocated =
+        bits::Image::relocate(module.original, module.frame_crcs, target.geometry.origin);
+    if (!relocated.ok()) return relocated.error();
+    image = std::move(relocated).value();
+  }
+  if (Status fits = floorplan.check_fits(target, image->bitstream()); !fits.ok()) {
     return fits.error();
   }
-  return relocated;
+  return image;
 }
 
 }  // namespace uparc::region

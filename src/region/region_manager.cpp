@@ -141,14 +141,14 @@ void RegionManager::pump() {
     finish(std::move(job), std::move(result));
     return;
   }
+  std::shared_ptr<const bits::Image> image = std::move(instance).value();
 
   if (txn_ != nullptr) {
-    dispatch_txn(std::move(job), std::move(result), region,
-                 std::move(instance.value()));
+    dispatch_txn(std::move(job), std::move(result), region, std::move(image));
     return;
   }
 
-  Status staged = controller_.stage(instance.value());
+  Status staged = controller_.stage(*image);
   result.cache_tier = controller_.last_stage_tier();
   if (cache::is_hit(result.cache_tier)) {
     metrics().counter(name() + ".cache_hits").add();
@@ -159,14 +159,13 @@ void RegionManager::pump() {
     return;
   }
 
-  // Keep the instance's frames for post-load verification.
-  auto frames = std::make_shared<std::vector<bits::Frame>>(instance.value().frames);
+  // Keep the instance for post-load verification of its frames.
   controller_.reconfigure([this, job = std::move(job), result = std::move(result), region,
-                           frames](const ctrl::ReconfigResult& r) mutable {
+                           image = std::move(image)](const ctrl::ReconfigResult& r) mutable {
     result.reconfig = r;
     if (!r.success) {
       result.error = r.error;
-    } else if (!plane_.contains(*frames)) {
+    } else if (!plane_.contains(image->bitstream().frames)) {
       result.error = "post-load verification failed: plane does not match module";
     } else {
       result.success = true;
@@ -178,12 +177,12 @@ void RegionManager::pump() {
 }
 
 void RegionManager::dispatch_txn(PendingLoad job, LoadResult result, Region* region,
-                                 bits::PartialBitstream instance) {
+                                 std::shared_ptr<const bits::Image> instance) {
   // Copy the name out first: the callback lambda move-captures `job`, and
   // argument evaluation order is unspecified — passing `job.module` directly
   // can read from the moved-from job.
   const std::string module = job.module;
-  txn_->execute(region->name, module, instance,
+  txn_->execute(region->name, module, std::move(instance),
                 [this, job = std::move(job), result = std::move(result),
                  region](const txn::TxnOutcome& o) mutable {
     result.transactional = true;

@@ -104,7 +104,7 @@ class RegionManager : public sim::Module {
 
   void pump();
   void dispatch_txn(PendingLoad job, LoadResult result, Region* region,
-                    bits::PartialBitstream instance);
+                    std::shared_ptr<const bits::Image> instance);
   void finish(PendingLoad job, LoadResult result);
   void observe_cost(const std::string& module, const LoadResult& result);
 

@@ -8,40 +8,14 @@
 #pragma once
 
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "icap/icap.hpp"
+#include "scrub/signature.hpp"
 #include "sim/clock.hpp"
 
 namespace uparc::scrub {
-
-/// Golden signature of a region: per-frame CRC32 of the expected content.
-class GoldenSignature {
- public:
-  explicit GoldenSignature(const std::vector<bits::Frame>& frames);
-  /// Rebuilds a signature from journaled (address, crc) pairs — the
-  /// crash-recovery path, where the frames themselves are gone with the
-  /// crashed controller and only the WAL's signature survives.
-  explicit GoldenSignature(const std::vector<std::pair<bits::FrameAddress, u32>>& pairs);
-
-  [[nodiscard]] std::size_t frame_count() const noexcept { return entries_.size(); }
-  [[nodiscard]] const std::vector<bits::FrameAddress>& addresses() const noexcept {
-    return addresses_;
-  }
-  /// CRC expected for the frame at `addr`; nullptr if not in the region.
-  [[nodiscard]] const u32* expected_crc(const bits::FrameAddress& addr) const;
-  /// Sorted (linear index, crc) pairs; two signatures describe the same
-  /// content iff these compare equal.
-  [[nodiscard]] const std::vector<std::pair<u32, u32>>& entries() const noexcept {
-    return entries_;
-  }
-
- private:
-  std::vector<std::pair<u32, u32>> entries_;  // (linear index, crc), sorted
-  std::vector<bits::FrameAddress> addresses_;
-};
 
 struct ReadbackReport {
   TimePs duration{};

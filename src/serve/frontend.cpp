@@ -70,6 +70,9 @@ FrontEnd::FrontEnd(FrontEndConfig config)
                                     config.module_kb, config.seed)),
       queues_(config.queue_capacity) {
   if (config_.devices == 0) throw std::invalid_argument("FrontEnd: need >= 1 device");
+  // Every device stack builds the same floorplan; prepare its images while
+  // this thread is still the only one reading the set.
+  modules_.prepare(core::UparcConfig{}.device, config_.regions_per_device);
   for (unsigned di = 0; di < config_.devices; ++di) devices_.push_back(make_device(di));
   calibrate();
 }

@@ -59,7 +59,7 @@ bool plane_matches(const ControllerStack& s, const std::string& module,
   const region::Region* target = floorplan.find(region);
   if (target == nullptr) return false;
   auto img = s.modules.library.instantiate(module, floorplan, *target);
-  return img.ok() && s.system.plane().contains(img.value().frames);
+  return img.ok() && s.system.plane().contains(img.value()->bitstream().frames);
 }
 
 /// Drives ops [first, cfg.ops) on `s`, updating `st` from acked outcomes.
@@ -234,6 +234,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
   try {
     modules = make_module_set(core::UparcConfig{}.device, config.modules, config.module_kb,
                               config.seed);
+    modules.prepare(core::UparcConfig{}.device, config.regions);
     ref = std::make_unique<ControllerStack>(modules, sweep_stack(config, config.seed));
   } catch (const std::runtime_error& e) {
     violate_ref(e.what());

@@ -126,8 +126,8 @@ RecoveryCoordinator::RecoveryCoordinator(core::System& system, TxnManager& txn)
 
 RecoveryCoordinator::ImageResolver RecoveryCoordinator::library_resolver(
     const region::ModuleLibrary& library, const region::Floorplan& floorplan) {
-  return [&library, &floorplan](const std::string& module,
-                                const std::string& region) -> Result<bits::PartialBitstream> {
+  return [&library, &floorplan](const std::string& module, const std::string& region)
+             -> Result<std::shared_ptr<const bits::Image>> {
     const region::Region* target = floorplan.find(region);
     if (target == nullptr) {
       return make_error("recovery: unknown region " + region, ErrorCause::kBadInput);
@@ -325,14 +325,12 @@ RecoveryReport RecoveryCoordinator::recover(BytesView wal_bytes,
     // Resolve the last-good image from the module store and prove it is the
     // image the WAL journaled (the store could have been retired/updated
     // while we were down).
-    bits::PartialBitstream good_image;
-    bool have_good = false;
+    std::shared_ptr<const bits::Image> good_image;
     if (rf.has_good) {
       auto resolved = resolver(rf.module, name);
       if (resolved.ok() &&
-          scrub::GoldenSignature(resolved.value().frames).entries() == entries_of(rf.golden)) {
+          resolved.value()->signature().entries() == entries_of(rf.golden)) {
         good_image = std::move(resolved).value();
-        have_good = true;
       } else {
         report.errors.push_back("region " + name + ": last-good module " + rf.module +
                                 (resolved.ok() ? " no longer matches the journaled golden"
@@ -340,7 +338,7 @@ RecoveryReport RecoveryCoordinator::recover(BytesView wal_bytes,
       }
     }
 
-    if (have_good) {
+    if (good_image != nullptr) {
       // Readback-scan against the *journaled last-good* signature: for a
       // committed region this is the state the WAL promised; for an
       // in-flight abort it is the state we want to return to.
@@ -364,7 +362,7 @@ RecoveryReport RecoveryCoordinator::recover(BytesView wal_bytes,
         // the plane (for in-flight, the forward write never landed).
         rr.action = in_flight ? RecoveryAction::kAbortClean : RecoveryAction::kAdopt;
         if (rf.pinned) {
-          system_.uparc().cache_promote(good_image);
+          system_.uparc().cache_promote(*good_image);
           rr.pinned = true;
         }
       } else {
@@ -381,7 +379,7 @@ RecoveryReport RecoveryCoordinator::recover(BytesView wal_bytes,
         if (reconciled) {
           rr.reconcile_terminal = outcome.terminal;
           if (outcome.terminal == TxnPhase::kRolledBackLastGood && rf.pinned) {
-            system_.uparc().cache_promote(good_image);
+            system_.uparc().cache_promote(*good_image);
             rr.pinned = true;
           }
           if (outcome.terminal == TxnPhase::kFailed) {

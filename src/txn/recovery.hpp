@@ -113,7 +113,7 @@ class RecoveryCoordinator {
  public:
   /// Resolves a journaled module name to its relocated image for `region`
   /// (normally ModuleLibrary::instantiate over the floorplan).
-  using ImageResolver = std::function<Result<bits::PartialBitstream>(
+  using ImageResolver = std::function<Result<std::shared_ptr<const bits::Image>>(
       const std::string& module, const std::string& region)>;
 
   /// `system` is the freshly booted controller stack holding the surviving

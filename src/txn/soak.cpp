@@ -39,6 +39,7 @@ SoakReport run_soak(const SoakConfig& config) {
   try {
     modules = make_module_set(core::UparcConfig{}.device, config.modules, config.module_kb,
                               config.seed);
+    modules.prepare(core::UparcConfig{}.device, config.regions);
     StackConfig stack_cfg;
     stack_cfg.regions = config.regions;
     stack_cfg.cache = config.cache;

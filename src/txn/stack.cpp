@@ -47,6 +47,10 @@ ModuleSet make_module_set(const bits::Device& device, unsigned count, std::size_
   return set;
 }
 
+void ModuleSet::prepare(const bits::Device& device, unsigned regions) {
+  library.prepare(make_floorplan(device, regions, frames()));
+}
+
 region::Floorplan make_floorplan(const bits::Device& device, unsigned regions,
                                  std::size_t frames) {
   region::Floorplan floorplan(device);

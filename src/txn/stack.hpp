@@ -31,8 +31,8 @@ inline constexpr u64 kChaosSalt = 0xC4A05C4A05ULL;
 
 /// Equal-size modules "m0".."m<n-1>" and their one compressed library.
 /// Identical sizing means every module fits every region window exactly
-/// (Floorplan::check_fits requires it). After construction the set is only
-/// read, so one set can serve a whole fleet across worker threads.
+/// (Floorplan::check_fits requires it). After setup the set is only read,
+/// so one set can serve a whole fleet across worker threads.
 struct ModuleSet {
   std::vector<bits::PartialBitstream> images;  ///< images[m] is module "m<m>"
   region::ModuleLibrary library;
@@ -42,6 +42,11 @@ struct ModuleSet {
   }
   /// Frames per module (the same for every module).
   [[nodiscard]] std::size_t frames() const noexcept { return images.front().frames.size(); }
+
+  /// Setup, before any stack shares the set: prepares the library's Image
+  /// of every module for every region of the floorplan a ControllerStack
+  /// on `device` with `regions` regions builds (ModuleLibrary::prepare).
+  void prepare(const bits::Device& device, unsigned regions);
 };
 
 /// Generates max(1, count) modules of about max(1, module_kb) KB for

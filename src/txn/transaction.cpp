@@ -15,19 +15,19 @@ namespace {
 constexpr unsigned kMaxRollbackRounds = 12;
 constexpr unsigned kBlankAfterRounds = 4;
 
-/// Per-frame golden signature of an image as a WAL payload fragment:
-/// [[packed_far, crc32], ...] in frame order.
-void golden_frames_json(std::ostringstream& os, const bits::PartialBitstream& image) {
+}  // namespace
+
+std::string golden_frames_json(const bits::Image& image) {
+  const std::vector<bits::Frame>& frames = image.bitstream().frames;
+  std::ostringstream os;
   os << "[";
-  for (std::size_t i = 0; i < image.frames.size(); ++i) {
-    const bits::Frame& f = image.frames[i];
-    os << (i == 0 ? "" : ",") << "[" << f.address.pack() << "," << crc32_words(f.data)
-       << "]";
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    os << (i == 0 ? "" : ",") << "[" << frames[i].address.pack() << ","
+       << image.frame_crcs()[i] << "]";
   }
   os << "]";
+  return os.str();
 }
-
-}  // namespace
 
 TxnManager::TxnManager(sim::Simulation& sim, std::string name, core::Uparc& uparc,
                        icap::Icap& port, power::Rail* rail, TxnPolicy policy)
@@ -40,9 +40,9 @@ TxnManager::TxnManager(sim::Simulation& sim, std::string name, core::Uparc& upar
       journal_(sim),
       health_(sim, this->name() + ".health", policy.health) {}
 
-const bits::PartialBitstream* TxnManager::last_good(const std::string& region) const {
+const bits::Image* TxnManager::last_good(const std::string& region) const {
   auto it = last_good_.find(region);
-  return it == last_good_.end() ? nullptr : &it->second;
+  return it == last_good_.end() ? nullptr : it->second.get();
 }
 
 std::string TxnManager::last_good_module(const std::string& region) const {
@@ -65,9 +65,8 @@ std::string TxnManager::checkpoint_payload() const {
     if (!first) os << ",";
     first = false;
     os << "\"" << obs::json_escape(region) << "\":{\"module\":\""
-       << obs::json_escape(last_good_module(region)) << "\",\"frames\":";
-    golden_frames_json(os, image);
-    os << "}";
+       << obs::json_escape(last_good_module(region)) << "\",\"frames\":"
+       << golden_frames_json(*image) << "}";
   }
   os << "},\"windows\":{";
   first = true;
@@ -107,14 +106,11 @@ void TxnManager::wal_health() {
 }
 
 void TxnManager::restore_last_good(const std::string& region, const std::string& module,
-                                   const bits::PartialBitstream& image) {
+                                   std::shared_ptr<const bits::Image> image) {
   if (busy_) throw std::logic_error("TxnManager: restore_last_good while busy");
-  last_good_[region] = image;
+  windows_[region] = image->signature().addresses();
+  last_good_[region] = std::move(image);
   last_good_module_[region] = module;
-  auto& window = windows_[region];
-  window.clear();
-  window.reserve(image.frames.size());
-  for (const bits::Frame& f : image.frames) window.push_back(f.address);
 }
 
 void TxnManager::restore_window(const std::string& region,
@@ -133,17 +129,16 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
   busy_ = true;
   recovering_ = true;
   region_ = region;
-  const bits::PartialBitstream* good = last_good(region);
-  module_ = good != nullptr ? last_good_module(region) : "<recovery-blank>";
-  if (good != nullptr) {
-    image_ = *good;
-    blank_built_ = false;
+  auto good = last_good_.find(region);
+  module_ = good != last_good_.end() ? last_good_module(region) : "<recovery-blank>";
+  if (good != last_good_.end()) {
+    image_ = good->second;
+    blank_.reset();
   } else {
     // No retained module: the ladder goes straight to the safe blank. Seed
     // image_ with it too — rollback_round sizes the blank from image_.
-    blank_ = make_blank_bitstream(uparc_.config().device, win->second.front(),
-                                  win->second.size());
-    blank_built_ = true;
+    blank_ = bits::Image::build(make_blank_bitstream(
+        uparc_.config().device, win->second.front(), win->second.size()));
     image_ = blank_;
   }
   done_ = std::move(done);
@@ -162,9 +157,8 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
     wal_->append(WalRecordType::kTxnBegin, os.str());
     std::ostringstream gs;
     gs << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
-       << "\",\"module\":\"" << obs::json_escape(module_) << "\",\"frames\":";
-    golden_frames_json(gs, image_);
-    gs << "}";
+       << "\",\"module\":\"" << obs::json_escape(module_)
+       << "\",\"frames\":" << golden_frames_json(*image_) << "}";
     wal_->append(WalRecordType::kGolden, gs.str());
   }
   if (obs::Tracer* tr = tracer()) {
@@ -212,15 +206,20 @@ bits::PartialBitstream TxnManager::make_blank_bitstream(const bits::Device& devi
 
 void TxnManager::execute(const std::string& region, const std::string& module,
                          const bits::PartialBitstream& image, TxnCallback done) {
+  execute(region, module, bits::Image::build(image), std::move(done));
+}
+
+void TxnManager::execute(const std::string& region, const std::string& module,
+                         std::shared_ptr<const bits::Image> image, TxnCallback done) {
   if (busy_) throw std::logic_error("TxnManager: execute while busy: " + name());
-  if (image.frames.empty()) {
+  if (image->bitstream().frames.empty()) {
     throw std::invalid_argument("TxnManager: image has no ground-truth frames");
   }
   busy_ = true;
   region_ = region;
   module_ = module;
-  image_ = image;
-  blank_built_ = false;
+  image_ = std::move(image);
+  blank_.reset();
   done_ = std::move(done);
   out_ = TxnOutcome{};
   out_.region = region;
@@ -231,10 +230,7 @@ void TxnManager::execute(const std::string& region, const std::string& module,
 
   // The image covers the whole region window; remember it so a later blank
   // rollback (and the consistency invariant) knows the region's extent.
-  auto& window = windows_[region_];
-  window.clear();
-  window.reserve(image_.frames.size());
-  for (const bits::Frame& f : image_.frames) window.push_back(f.address);
+  windows_[region_] = image_->signature().addresses();
 
   metrics().counter(name() + ".txns").add();
   if (wal_ != nullptr) {
@@ -247,9 +243,8 @@ void TxnManager::execute(const std::string& region, const std::string& module,
     wal_->append(WalRecordType::kTxnBegin, os.str());
     std::ostringstream gs;
     gs << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
-       << "\",\"module\":\"" << obs::json_escape(module_) << "\",\"frames\":";
-    golden_frames_json(gs, image_);
-    gs << "}";
+       << "\",\"module\":\"" << obs::json_escape(module_)
+       << "\",\"frames\":" << golden_frames_json(*image_) << "}";
     wal_->append(WalRecordType::kGolden, gs.str());
   }
   if (obs::Tracer* tr = tracer()) {
@@ -276,16 +271,17 @@ void TxnManager::on_forward(const manager::RecoveryOutcome& o) {
     rollback_round(out_.error);
     return;
   }
-  start_verify(VerifyTarget::kCommit, image_.frames);
+  start_verify(VerifyTarget::kCommit, image_);
 }
 
-void TxnManager::start_verify(VerifyTarget target, const std::vector<bits::Frame>& frames) {
+void TxnManager::start_verify(VerifyTarget target, std::shared_ptr<const bits::Image> image) {
   journal_.advance(txn_id_, TxnPhase::kVerify);
   wal_phase(TxnPhase::kVerify);
   ++out_.verify_runs;
   metrics().counter(name() + ".verifies").add();
-  golden_ = std::make_unique<scrub::GoldenSignature>(frames);
-  readback_.verify_region(*golden_, [this, target](const scrub::ReadbackReport& report) {
+  verifying_ = std::move(image);
+  readback_.verify_region(verifying_->signature(),
+                          [this, target](const scrub::ReadbackReport& report) {
     on_verify(target, report);
   });
 }
@@ -317,7 +313,7 @@ void TxnManager::commit() {
   last_good_module_[region_] = module_;
   // A verified commit is the strongest freshness signal the cache can get:
   // admit (if the stage predated the cache) and pin the image hot.
-  uparc_.cache_promote(image_);
+  uparc_.cache_promote(*image_);
   pinned_.insert(region_);
   if (wal_ != nullptr) {
     std::ostringstream os;
@@ -336,7 +332,7 @@ void TxnManager::rollback_round(std::string reason) {
   // The image failed to program or verify — whatever copy the cache holds
   // must never serve a later stage. Purge before anything else so even a
   // budget-exhausted failure leaves no poisoned entry behind.
-  uparc_.cache_invalidate(image_);
+  uparc_.cache_invalidate(*image_);
   if (out_.rollback_rounds >= kMaxRollbackRounds) {
     fail("rollback budget exhausted after " + std::to_string(out_.rollback_rounds) +
          " rounds; last: " + reason);
@@ -353,25 +349,24 @@ void TxnManager::rollback_round(std::string reason) {
   // Restore the retained golden copy while we still trust it; past
   // kBlankAfterRounds (or with nothing to restore) escalate to the safe
   // blank stub — smaller, so each round exposes fewer fault opportunities.
-  const bits::PartialBitstream* good = last_good(region_);
+  auto good = last_good_.find(region_);
   const bool use_blank =
-      good == nullptr || out_.rollback_rounds > kBlankAfterRounds;
-  if (use_blank && !blank_built_) {
-    blank_ = make_blank_bitstream(uparc_.config().device, image_.frames.front().address,
-                                  image_.frames.size());
-    blank_built_ = true;
+      good == last_good_.end() || out_.rollback_rounds > kBlankAfterRounds;
+  if (use_blank && blank_ == nullptr) {
+    const std::vector<bits::Frame>& frames = image_->bitstream().frames;
+    blank_ = bits::Image::build(make_blank_bitstream(uparc_.config().device,
+                                                     frames.front().address, frames.size()));
   }
-  const bits::PartialBitstream& target = use_blank ? blank_ : *good;
+  std::shared_ptr<const bits::Image> target = use_blank ? blank_ : good->second;
   recovery_.policy() = policy_.rollback;
-  recovery_.run(target, [this, use_blank](const manager::RecoveryOutcome& o) {
+  recovery_.run(target, [this, use_blank, target](const manager::RecoveryOutcome& o) {
     if (!o.success) {
       rollback_round("rollback re-program failed: " + o.final_result.error);
       return;
     }
     // Never trust an unverified rollback: the invariant is that a rolled-
     // back region *readback-verifies* as last-good or blank.
-    start_verify(use_blank ? VerifyTarget::kBlank : VerifyTarget::kLastGood,
-                 use_blank ? blank_.frames : last_good_.at(region_).frames);
+    start_verify(use_blank ? VerifyTarget::kBlank : VerifyTarget::kLastGood, target);
   });
 }
 
@@ -437,7 +432,7 @@ void TxnManager::finish(TxnPhase terminal) {
     tr->arg(txn_span_, "rollback_rounds", static_cast<double>(out_.rollback_rounds));
     tr->end(txn_span_);
   }
-  golden_.reset();
+  verifying_.reset();
   busy_ = false;
   recovering_ = false;
   // Transaction boundary: the only safe moment to rotate the WAL segment
@@ -451,7 +446,7 @@ void TxnManager::finish(TxnPhase terminal) {
 bool TxnManager::region_consistent(const std::string& region,
                                    const icap::ConfigPlane& plane) const {
   auto good = last_good_.find(region);
-  if (good != last_good_.end()) return plane.contains(good->second.frames);
+  if (good != last_good_.end()) return plane.contains(good->second->bitstream().frames);
   auto window = windows_.find(region);
   if (window == windows_.end()) return true;  // never transacted
   for (const bits::FrameAddress& addr : window->second) {

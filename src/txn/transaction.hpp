@@ -71,6 +71,10 @@ struct TxnOutcome {
 
 using TxnCallback = std::function<void(const TxnOutcome&)>;
 
+/// The golden signature of `image` as WAL records carry it:
+/// [[packed_far, crc32], ...] in frame order, from the memoized frame CRCs.
+[[nodiscard]] std::string golden_frames_json(const bits::Image& image);
+
 class TxnManager : public sim::Module {
  public:
   /// `rail` may be null (no energy accounting). Owns its own
@@ -79,8 +83,13 @@ class TxnManager : public sim::Module {
              icap::Icap& port, power::Rail* rail = nullptr, TxnPolicy policy = {});
 
   /// Runs one transaction: program `image` (which must cover the region's
-  /// whole frame window) into `region` as module `module`. One transaction
-  /// at a time; throws if busy.
+  /// whole frame window) into `region` as module `module`. The WAL golden
+  /// record, the commit verify, last-good, the cache hooks and every
+  /// (re)stage read the image's memoized CRCs, signature and lint verdict.
+  /// One transaction at a time; throws if busy.
+  void execute(const std::string& region, const std::string& module,
+               std::shared_ptr<const bits::Image> image, TxnCallback done);
+  /// execute() of an Image built from `image` now.
   void execute(const std::string& region, const std::string& module,
                const bits::PartialBitstream& image, TxnCallback done);
 
@@ -118,7 +127,7 @@ class TxnManager : public sim::Module {
   /// fabric — the caller (RecoveryCoordinator) has already proven by
   /// readback that the plane holds exactly this image.
   void restore_last_good(const std::string& region, const std::string& module,
-                         const bits::PartialBitstream& image);
+                         std::shared_ptr<const bits::Image> image);
 
   /// Recovery: restore only the region's frame window (aborted or blank
   /// regions), so region_consistent() knows the region's extent.
@@ -139,9 +148,9 @@ class TxnManager : public sim::Module {
     return pinned_;
   }
 
-  /// Retained golden copy of the region's committed module (null if the
+  /// Retained golden image of the region's committed module (null if the
   /// region is blank or was never committed).
-  [[nodiscard]] const bits::PartialBitstream* last_good(const std::string& region) const;
+  [[nodiscard]] const bits::Image* last_good(const std::string& region) const;
   /// Module name committed with the retained last-good image ("" if none).
   [[nodiscard]] std::string last_good_module(const std::string& region) const;
 
@@ -164,7 +173,7 @@ class TxnManager : public sim::Module {
   void wal_health();
   void start_forward();
   void on_forward(const manager::RecoveryOutcome& o);
-  void start_verify(VerifyTarget target, const std::vector<bits::Frame>& frames);
+  void start_verify(VerifyTarget target, std::shared_ptr<const bits::Image> image);
   void on_verify(VerifyTarget target, const scrub::ReadbackReport& report);
   void rollback_round(std::string reason);
   void commit();
@@ -184,7 +193,7 @@ class TxnManager : public sim::Module {
   std::string flight_shard_;
   Wal* wal_ = nullptr;
 
-  std::map<std::string, bits::PartialBitstream> last_good_;
+  std::map<std::string, std::shared_ptr<const bits::Image>> last_good_;
   std::map<std::string, std::string> last_good_module_;
   std::map<std::string, std::vector<bits::FrameAddress>> windows_;
   std::set<std::string> pinned_;
@@ -195,12 +204,11 @@ class TxnManager : public sim::Module {
   u64 txn_id_ = 0;
   std::string region_;
   std::string module_;
-  bits::PartialBitstream image_;
-  bits::PartialBitstream blank_;  ///< built lazily, once per transaction
-  bool blank_built_ = false;
+  std::shared_ptr<const bits::Image> image_;
+  std::shared_ptr<const bits::Image> blank_;  ///< built lazily, once per transaction
   TxnOutcome out_;
   TxnCallback done_;
-  std::unique_ptr<scrub::GoldenSignature> golden_;  ///< outlives the verify
+  std::shared_ptr<const bits::Image> verifying_;  ///< its signature outlives the verify
   std::size_t txn_span_ = static_cast<std::size_t>(-1);
 };
 

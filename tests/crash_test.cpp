@@ -73,8 +73,8 @@ TEST(RecoveryTest, EmptyWalRecoversToCleanStateAndSealsNewEpoch) {
   Wal new_wal(sys.sim(), "wal", store);
 
   RecoveryCoordinator coordinator(sys, txn);
-  const auto resolver = [](const std::string& module,
-                           const std::string&) -> Result<bits::PartialBitstream> {
+  const auto resolver = [](const std::string& module, const std::string&)
+      -> Result<std::shared_ptr<const bits::Image>> {
     return make_error("no image for " + module, ErrorCause::kBadInput);
   };
   const Bytes empty;

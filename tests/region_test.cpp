@@ -2,6 +2,8 @@
 // region manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/system.hpp"
 #include "region/region_manager.hpp"
 
@@ -85,6 +87,25 @@ TEST(ModuleLibraryTest, StoresCompressedAndRestores) {
   EXPECT_FALSE(lib.original("missing").ok());
 }
 
+TEST(ModuleLibraryTest, AddModuleRejectsAnImageWithoutADevice) {
+  // The IDCODE write replaced by NOOPs: the stored file no longer names a
+  // device, so it cannot be decoded. Registration must say so, not the
+  // first load.
+  auto bs = make_bs(16_KiB, 7);
+  const u32 idcode_write = bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kIdcode, 1);
+  auto at = std::find(bs.body.begin(), bs.body.end(), idcode_write);
+  ASSERT_NE(at, bs.body.end());
+  at[0] = bits::kNoopWord;
+  at[1] = bits::kNoopWord;
+
+  ModuleLibrary lib;
+  const Status added = lib.add_module("bad", bs);
+  ASSERT_FALSE(added.ok());
+  EXPECT_NE(added.error().message.find("'bad'"), std::string::npos) << added.error().message;
+  EXPECT_FALSE(lib.has("bad"));
+  EXPECT_EQ(lib.size(), 0u);
+}
+
 TEST(ModuleLibraryTest, InstantiateRelocatesToRegion) {
   Floorplan fp(bits::kVirtex5Sx50t);
   const bits::FrameAddress origin{0, 0, 3, 40, 0};
@@ -96,11 +117,12 @@ TEST(ModuleLibraryTest, InstantiateRelocatesToRegion) {
 
   auto inst = lib.instantiate("fft", fp, *fp.find("slot"));
   ASSERT_TRUE(inst.ok()) << inst.error().message;
-  EXPECT_EQ(inst.value().frames.front().address, origin);
-  EXPECT_EQ(inst.value().frames.size(), bs.frames.size());
+  const bits::PartialBitstream& placed = inst.value()->bitstream();
+  EXPECT_EQ(placed.frames.front().address, origin);
+  EXPECT_EQ(placed.frames.size(), bs.frames.size());
   // Content preserved.
   for (std::size_t i = 0; i < bs.frames.size(); ++i) {
-    EXPECT_EQ(inst.value().frames[i].data, bs.frames[i].data);
+    EXPECT_EQ(placed.frames[i].data, bs.frames[i].data);
   }
 }
 
