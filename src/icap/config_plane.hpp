@@ -27,6 +27,10 @@ class ConfigPlane : public sim::Module {
 
   /// True iff every frame of `expected` is present with identical content.
   [[nodiscard]] bool contains(const std::vector<bits::Frame>& expected) const;
+  /// True iff both planes hold the same frames with identical content.
+  [[nodiscard]] bool same_frames(const ConfigPlane& other) const {
+    return store_ == other.store_;
+  }
 
   void clear();
 

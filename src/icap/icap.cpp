@@ -42,12 +42,14 @@ void Icap::reset() {
   readout_buf_.clear();
   readout_pos_ = 0;
   rcfg_active_ = false;
+  reading_fdro_ = false;
   crc_.reset();
   wcfg_active_ = false;
   far_ = bits::FrameAddress{};
   frame_buf_.clear();
   crc_checked_ = false;
   crc_ok_ = false;
+  idcode_ = 0;
 }
 
 void Icap::fail(std::string why, ErrorCause cause) {
@@ -202,7 +204,11 @@ void Icap::write_word(u32 word) {
       const u32 type = bits::packet_type(word);
       if (type == 1) {
         const auto op = bits::packet_opcode(word);
-        if (op == bits::Opcode::kNop) return;
+        if (op == bits::Opcode::kNop) {
+          // A NOP's declared payload would be misread as packet headers.
+          if (bits::type1_count(word) != 0) fail("NOP packet declares a payload");
+          return;
+        }
         if (op == bits::Opcode::kRead) {
           if (bits::packet_reg(word) != bits::ConfigReg::kFdro || !rcfg_active_) {
             fail("read packets are only supported for FDRO after CMD RCFG");

@@ -103,6 +103,28 @@ TEST_F(IcapFixture, ResetAllowsSecondBitstream) {
   EXPECT_TRUE(plane.contains(bs2.frames));
 }
 
+TEST_F(IcapFixture, ResetDropsAnArmedReadbackSelect) {
+  // A stream that ends right after a zero-count FDRO read select leaves the
+  // port waiting for the read's type-2 header.
+  port.write_word(bits::kSyncWord);
+  port.write_word(bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kCmd, 1));
+  port.write_word(static_cast<u32>(bits::Command::kRcfg));
+  port.write_word(bits::type1(bits::Opcode::kRead, bits::ConfigReg::kFdro, 0));
+  ASSERT_EQ(port.state(), IcapState::kAwaitType2);
+
+  // After a reset, the next bitstream's FDRI type-2 header is a write.
+  port.reset();
+  EXPECT_EQ(port.idcode_seen(), 0u);
+  bits::GeneratorConfig cfg;
+  cfg.target_body_bytes = 8_KiB;
+  const auto bs = bits::Generator(cfg).generate();
+  for (u32 w : bs.body) port.write_word(w);
+  EXPECT_FALSE(port.errored()) << port.error_message();
+  EXPECT_TRUE(port.done());
+  EXPECT_EQ(port.frames_committed(), bs.frames.size());
+  EXPECT_TRUE(plane.contains(bs.frames));
+}
+
 TEST_F(IcapFixture, AbortMidBurstClearsInFlightFrameState) {
   bits::GeneratorConfig cfg;
   cfg.target_body_bytes = 8_KiB;

@@ -2,6 +2,11 @@
 // identical seeds must produce bit-identical simulations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string_view>
+#include <tuple>
+
 #include "analysis/bitstream_lint.hpp"
 #include "bitstream/parser.hpp"
 #include "bitstream/relocate.hpp"
@@ -106,6 +111,152 @@ TEST_P(ParserFuzz, MutatedBodiesParseOrFailCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range<u64>(200, 208));
+
+// ------------------------------------------------------ ICAP differential
+//
+// The ICAP model decodes the packet stream on its own, word by word: it is
+// the device the host reader is checked against. Mutated bodies (the
+// ParserFuzz scheme) stream through core::System with the lint gate off,
+// once with inline clock edges and once with one kernel event per edge.
+// The two runs must agree with each other, and the ICAP must agree with
+// walk_packets on the structural verdict, the frames and the CRC verdict.
+
+namespace {
+
+/// One System-level run of a body.
+struct IcapRun {
+  std::unique_ptr<core::System> sys;
+  ctrl::ReconfigResult result;
+  u64 edges = 0;  ///< kernel events plus inlined edges
+
+  [[nodiscard]] const icap::Icap& port() const { return sys->icap(); }
+};
+
+IcapRun stream_body(const bits::Device& device, const Words& body, bool inline_edges) {
+  core::SystemConfig cfg;
+  cfg.uparc.device = device;
+  cfg.uparc.lint_gate = false;
+  IcapRun run;
+  run.sys = std::make_unique<core::System>(cfg);
+  run.sys->sim().set_inline_edges(inline_edges);
+  bits::PartialBitstream bs;
+  bs.body = body;
+  EXPECT_TRUE(run.sys->stage(bs).ok());
+  run.result = run.sys->reconfigure_blocking();
+  run.edges = run.sys->sim().events_executed() + run.sys->sim().inlined_edges();
+  return run;
+}
+
+struct AcceptAll final : bits::PacketVisitor {
+  bool on_write(const bits::PacketWrite&) override { return true; }
+};
+
+/// walk_packets' structural verdict: synced, no defect, desynced.
+bool walker_accepts(WordsView body) {
+  AcceptAll visitor;
+  const bits::PacketWalk walk = bits::walk_packets(body, visitor);
+  return walk.synced && !walk.defect && walk.desynced;
+}
+
+bool lint_reports(const bits::Device& device, WordsView body, std::string_view rule) {
+  const analysis::Report lint = analysis::lint_body(device, body);
+  for (const analysis::Diagnostic& d : lint.diagnostics()) {
+    if (d.rule == rule) return true;
+  }
+  return false;
+}
+
+/// Checks one body; returns false (after reporting) on the first mismatch.
+bool icap_agrees(const bits::Device& device, const Words& body, int trial) {
+  const IcapRun inl = stream_body(device, body, true);
+  const IcapRun ref = stream_body(device, body, false);
+  const icap::Icap& a = inl.port();
+  const icap::Icap& b = ref.port();
+  // (a) the two clock paths are indistinguishable.
+  EXPECT_EQ(inl.result.success, ref.result.success) << "trial " << trial;
+  EXPECT_EQ(inl.result.error, ref.result.error) << "trial " << trial;
+  EXPECT_EQ(inl.result.cause, ref.result.cause) << "trial " << trial;
+  EXPECT_EQ(inl.result.end, ref.result.end) << "trial " << trial;
+  EXPECT_EQ(inl.edges, ref.edges) << "trial " << trial;
+  EXPECT_EQ(a.words_consumed(), b.words_consumed()) << "trial " << trial;
+  EXPECT_EQ(a.frames_committed(), b.frames_committed()) << "trial " << trial;
+  EXPECT_TRUE(inl.sys->plane().same_frames(ref.sys->plane())) << "trial " << trial;
+
+  // (b) the device accepts exactly what the host reader accepts, except
+  // for its two semantic rejections, which lint reports.
+  const bool icap_accepts = a.done() && !a.errored();
+  const bool semantic_reject =
+      a.errored() &&
+      ((a.error_cause() == ErrorCause::kIcapDeviceMismatch &&
+        lint_reports(device, body, "bs.idcode.mismatch")) ||
+       (a.error_message() == "FDRI write without WCFG" &&
+        lint_reports(device, body, "bs.fdri.no-wcfg")));
+  if (!semantic_reject) {
+    EXPECT_EQ(icap_accepts, walker_accepts(body))
+        << "trial " << trial << ": ICAP " << (a.errored() ? a.error_message() : "no error");
+  }
+
+  // (c) both accept: the plane holds parse_body's frames, and the CRC
+  // verdicts agree.
+  if (icap_accepts && walker_accepts(body)) {
+    const auto parsed = bits::parse_body(device, body);
+    EXPECT_TRUE(parsed.ok()) << "trial " << trial;
+    if (parsed.ok()) {
+      EXPECT_EQ(a.frames_committed(), parsed.value().frames.size()) << "trial " << trial;
+      EXPECT_TRUE(inl.sys->plane().contains(parsed.value().frames)) << "trial " << trial;
+      EXPECT_EQ(a.crc_checked(), parsed.value().crc_checked) << "trial " << trial;
+      EXPECT_EQ(a.crc_ok(), parsed.value().crc_ok) << "trial " << trial;
+    }
+  }
+  return !::testing::Test::HasFailure();
+}
+
+}  // namespace
+
+class IcapDifferential
+    : public ::testing::TestWithParam<std::tuple<unsigned /*family*/, u64 /*seed*/>> {};
+
+TEST_P(IcapDifferential, MutatedBodiesAgreeWithTheHostReaderOnBothClockPaths) {
+  const auto [family, seed] = GetParam();
+  bits::GeneratorConfig cfg;
+  cfg.device = family == 5 ? bits::kVirtex5Sx50t : bits::kVirtex6Lx240t;
+  cfg.target_body_bytes = 8_KiB;
+  cfg.seed = seed;
+  const Words body = bits::Generator(cfg).generate().body;
+
+  Prng rng(seed * 13 + 1);
+  constexpr int kBodies = 1250;  // per shard; 4 shards per family
+  for (int trial = 0; trial < kBodies; ++trial) {
+    Words mutated = body;
+    const int flips = 1 + static_cast<int>(rng.below(4));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^= static_cast<u32>(rng.next());
+    }
+    if (!icap_agrees(cfg.device, mutated, trial)) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, IcapDifferential,
+                         ::testing::Combine(::testing::Values(5u, 6u),
+                                            ::testing::Range<u64>(300, 304)));
+
+TEST(IcapDifferentialCase, NopWithAPayloadIsRejectedLikeTheWalker) {
+  bits::GeneratorConfig cfg;
+  cfg.target_body_bytes = 8_KiB;
+  Words body = bits::Generator(cfg).generate().body;
+  // The NOOP after CMD RCRC becomes a NOP that declares five payload words.
+  const auto noop = std::find(body.begin(), body.end(), bits::kNoopWord);
+  ASSERT_NE(noop, body.end());
+  *noop = bits::type1(bits::Opcode::kNop, bits::ConfigReg::kCrc, 5);
+  ASSERT_FALSE(walker_accepts(body));
+  EXPECT_TRUE(lint_reports(bits::kVirtex5Sx50t, body, "bs.packet.nop-count"));
+  const IcapRun run = stream_body(bits::kVirtex5Sx50t, body, true);
+  EXPECT_TRUE(run.port().errored());
+  EXPECT_EQ(run.port().error_message(), "NOP packet declares a payload");
+  EXPECT_EQ(run.port().frames_committed(), 0u);
+  EXPECT_FALSE(run.result.success);
+  EXPECT_TRUE(icap_agrees(bits::kVirtex5Sx50t, body, 0));
+}
 
 // ------------------------------------------------------------- determinism
 
