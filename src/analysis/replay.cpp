@@ -159,6 +159,7 @@ struct BurstRun {
   std::string result;
   u64 events = 0;
   u64 inlined = 0;
+  u64 bursts = 0;
 };
 
 [[nodiscard]] std::string exact(double v) {
@@ -184,6 +185,7 @@ struct BurstRun {
   }
   run.events = sys.sim().events_executed();
   run.inlined = sys.sim().inlined_edges();
+  run.bursts = sys.sim().burst_edges();
   return run;
 }
 
@@ -280,6 +282,7 @@ ReplayResult verify_burst_replay(u64 seed) {
   struct Scenario {
     std::string name;
     std::function<BurstRun(bool)> run;
+    bool streams_in_bursts = false;  ///< an uncompressed, untapped stream
   };
   const bits::PartialBitstream big = burst_image(seed, 247 * 1024);
   core::SystemConfig v6;
@@ -290,10 +293,12 @@ ReplayResult verify_burst_replay(u64 seed) {
   const bits::PartialBitstream small = burst_image(seed, 64 * 1024);
 
   std::vector<Scenario> scenarios;
-  scenarios.push_back({"247kb", [&](bool on) { return plain_reconfig({}, 362.5, big, on); }});
+  scenarios.push_back(
+      {"247kb", [&](bool on) { return plain_reconfig({}, 362.5, big, on); }, true});
   for (const double mhz : {50.0, 100.0, 200.0, 300.0}) {
     scenarios.push_back({"fig7-" + std::to_string(static_cast<int>(mhz)) + "mhz",
-                         [&, mhz](bool on) { return plain_reconfig(v6, mhz, fig7, on); }});
+                         [&, mhz](bool on) { return plain_reconfig(v6, mhz, fig7, on); },
+                         true});
   }
   scenarios.push_back(
       {"compressed-500kb", [&](bool on) { return plain_reconfig({}, 0.0, compressed, on); }});
@@ -322,6 +327,15 @@ ReplayResult verify_burst_replay(u64 seed) {
                               " inlined with inlining on, " + std::to_string(ref.inlined) +
                               " with it off",
                           "the oracle compares the two clock paths only if both ran");
+    }
+    // Bursts are inlined edges too: none without inlining, and the
+    // uncompressed streams must take them.
+    if (ref.bursts != 0 || (sc.streams_in_bursts && inl.bursts == 0)) {
+      result.report.error("det.replay.divergence", Location::file(base + "events.txt", 1),
+                          "bursts were not exercised: " + std::to_string(inl.bursts) +
+                              " burst edges with inlining on, " + std::to_string(ref.bursts) +
+                              " with it off",
+                          "the oracle compares the burst datapath only if it ran");
     }
   }
   return result;

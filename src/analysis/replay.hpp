@@ -64,7 +64,9 @@ void diff_artifact(std::string_view name, std::string_view run1,
 /// 500 KB, a faulted run_recovery_blocking (BRAM-read, ICAP-abort and DCM
 /// lock-loss faults) and a cached transaction load with readback verify.
 /// Also checks that kernel events plus inlined edges with inlining on equal
-/// the kernel events with it off, and that inlining actually happened.
+/// the kernel events with it off, that inlining actually happened, and that
+/// the uncompressed 247 KB and Fig. 7 streams took burst edges
+/// (Simulation::burst_edges) with inlining on and none with it off.
 [[nodiscard]] ReplayResult verify_burst_replay(u64 seed);
 
 /// Runs txn::run_soak(config) twice (trace forced on) and diffs

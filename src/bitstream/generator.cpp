@@ -180,7 +180,7 @@ PartialBitstream Generator::generate() {
 
   const std::size_t fdri_offset = pw.words().size() + 2;  // after t1 + t2 headers
   pw.write_fdri(payload);
-  for (u32 w : payload) crc.write(ConfigReg::kFdri, w);
+  crc.write(ConfigReg::kFdri, payload);
 
   pw.write_crc(crc.value());
   pw.command(Command::kDesync);

@@ -64,7 +64,7 @@ PacketWalk walk_packets(WordsView body, PacketVisitor& v) {
     const PacketWrite w{reg, i, count, crc.value()};
     i += count;
     if (!v.on_write(w)) break;
-    for (const u32 word : body.subspan(w.payload, count)) crc.write(reg, word);
+    crc.write(reg, body.subspan(w.payload, count));
     if (reg == ConfigReg::kCmd && count > 0) {
       const auto cmd = static_cast<Command>(body[w.payload]);
       if (cmd == Command::kRcrc) crc.reset();

@@ -17,6 +17,12 @@ class Crc32 {
   /// Feeds a 32-bit word in big-endian byte order (bitstream word order),
   /// four bytes per step through sliced tables; equals four update(u8).
   void update_word(u32 word) noexcept;
+  /// Feeds `word` then the byte `tag` in one five-lane step; equals
+  /// update_word(word) then update(tag).
+  void update_tagged(u32 word, u8 tag) noexcept;
+  /// Feeds each word of `words` followed by `tag`, four words per
+  /// twenty-lane step; equals update_tagged(w, tag) for every w in order.
+  void update_tagged(WordsView words, u8 tag) noexcept;
 
   [[nodiscard]] u32 value() const noexcept { return ~state_; }
   void reset() noexcept { state_ = 0xFFFFFFFFu; }

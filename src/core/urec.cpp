@@ -1,5 +1,6 @@
 #include "core/urec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -81,6 +82,22 @@ void UReC::abort(ErrorCause cause, std::string why) {
   finish_now(UrecState::kError, std::move(why), cause);
 }
 
+void UReC::stream_burst() {
+  // Never the payload's last word: it finishes the stream. The ICAP caps
+  // the run at its FDRI packet's last word and refuses with a tap armed.
+  const std::size_t want =
+      std::min<std::size_t>(payload_words_ - next_addr_, port_.burst_capacity());
+  if (want == 0) return;
+  const u64 n = clk_.take_edges(want);
+  if (n == 0) return;
+  port_.write_words(bram_.read_words(next_addr_, n));
+  next_addr_ += n;
+  words_to_icap_ += n;
+  active_cycles_ += n;
+  state_cycle_counters_[static_cast<std::size_t>(UrecState::kStreamDirect)]->add(
+      static_cast<double>(n));
+}
+
 void UReC::on_edge() {
   ++active_cycles_;
   state_cycle_counters_[static_cast<std::size_t>(state_)]->add();
@@ -124,6 +141,8 @@ void UReC::on_edge() {
       ++words_to_icap_;
       if (next_addr_ > payload_words_) {
         finish_now(UrecState::kFinished);
+      } else if (!bram_.read_tapped()) {
+        stream_burst();
       }
       return;
     }

@@ -70,6 +70,9 @@ class UReC : public sim::Module {
 
  private:
   void on_edge();
+  /// Streams the following edges' words in one call when nothing can
+  /// observe them one by one (see DESIGN §18, "Bursts").
+  void stream_burst();
   void finish_now(UrecState final_state, std::string error = {},
                   ErrorCause cause = ErrorCause::kNone);
   void enter_state(UrecState next);

@@ -1,5 +1,6 @@
 #include "icap/config_plane.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace uparc::icap {
@@ -11,7 +12,9 @@ void ConfigPlane::write_frame(const bits::FrameAddress& addr, WordsView data) {
   if (data.size() != device_.frame_words) {
     throw std::invalid_argument("ConfigPlane: frame size mismatch");
   }
-  store_[addr.linear_index()] = Words(data.begin(), data.end());
+  const Store::iterator hint = last_ == store_.end() ? store_.end() : std::next(last_);
+  last_ = store_.try_emplace(hint, addr.linear_index());
+  last_->second.assign(data.begin(), data.end());
   ++writes_;
 }
 
@@ -30,6 +33,7 @@ bool ConfigPlane::contains(const std::vector<bits::Frame>& expected) const {
 
 void ConfigPlane::clear() {
   store_.clear();
+  last_ = store_.end();
   writes_ = 0;
 }
 

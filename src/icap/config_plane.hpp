@@ -16,7 +16,10 @@ class ConfigPlane : public sim::Module {
 
   [[nodiscard]] const bits::Device& device() const noexcept { return device_; }
 
-  /// Commits one frame (called by the ICAP on each full FDRI frame).
+  /// Commits one frame (called by the ICAP on each full FDRI frame). A
+  /// frame at the address after the previous write's, the FDRI
+  /// auto-increment order, is found in O(1), and a rewrite reuses the
+  /// frame's storage.
   void write_frame(const bits::FrameAddress& addr, WordsView data);
 
   /// Frame readback; returns nullptr if the frame was never written.
@@ -36,7 +39,9 @@ class ConfigPlane : public sim::Module {
 
  private:
   bits::Device device_;
-  std::map<u32, Words> store_;  // keyed by FrameAddress::linear_index
+  using Store = std::map<u32, Words>;  // keyed by FrameAddress::linear_index
+  Store store_;
+  Store::iterator last_ = store_.end();  // the previous write's frame
   u64 writes_ = 0;
 };
 

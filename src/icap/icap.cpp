@@ -1,5 +1,8 @@
 #include "icap/icap.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "obs/trace.hpp"
 
 namespace uparc::icap {
@@ -167,10 +170,8 @@ void Icap::handle_payload_word(u32 word) {
       }
       frame_buf_.push_back(word);
       if (frame_buf_.size() == plane_.device().frame_words) {
-        plane_.write_frame(far_, frame_buf_);
-        far_ = bits::next_frame_address(far_);
+        commit_frame(frame_buf_);
         frame_buf_.clear();
-        ++frames_;
         frames_counter_->add();
       }
       break;
@@ -181,6 +182,47 @@ void Icap::handle_payload_word(u32 word) {
   if (--payload_left_ == 0 && state_ != IcapState::kDesynced && state_ != IcapState::kError) {
     finish_packet();
   }
+}
+
+void Icap::commit_frame(WordsView frame) {
+  plane_.write_frame(far_, frame);
+  far_ = bits::next_frame_address(far_);
+  ++frames_;
+}
+
+u32 Icap::burst_capacity() const noexcept {
+  const bool fdri = (state_ == IcapState::kType1Payload || state_ == IcapState::kType2Payload) &&
+                    current_reg_ == bits::ConfigReg::kFdri && wcfg_active_;
+  return fdri && !write_tap_ ? payload_left_ - 1 : 0;
+}
+
+void Icap::write_words(WordsView words) {
+  if (words.size() > burst_capacity()) {
+    throw std::logic_error("Icap::write_words: more words than burst_capacity()");
+  }
+  const auto n = static_cast<u32>(words.size());
+  words_ += n;
+  words_counter_->add(static_cast<double>(n));
+  crc_.write(bits::ConfigReg::kFdri, words);
+  payload_left_ -= n;
+
+  const u64 frames_before = frames_;
+  const std::size_t fw = plane_.device().frame_words;
+  std::size_t i = 0;
+  if (!frame_buf_.empty()) {
+    // Finish the frame the previous words left half assembled.
+    i = std::min(fw - frame_buf_.size(), words.size());
+    const WordsView head = words.first(i);
+    frame_buf_.insert(frame_buf_.end(), head.begin(), head.end());
+    if (frame_buf_.size() == fw) {
+      commit_frame(frame_buf_);
+      frame_buf_.clear();
+    }
+  }
+  for (; words.size() - i >= fw; i += fw) commit_frame(words.subspan(i, fw));
+  const WordsView tail = words.subspan(i);
+  frame_buf_.insert(frame_buf_.end(), tail.begin(), tail.end());
+  frames_counter_->add(static_cast<double>(frames_ - frames_before));
 }
 
 void Icap::write_word(u32 word) {

@@ -38,6 +38,14 @@ class Icap : public sim::Module {
 
   /// Feeds one configuration word (one clock cycle's worth).
   void write_word(u32 word);
+  /// FDRI payload words write_words() may take now: inside an FDRI packet
+  /// after CMD WCFG, every word but the packet's last (which ends the
+  /// packet), and none while a write tap is armed.
+  [[nodiscard]] u32 burst_capacity() const noexcept;
+  /// Feeds up to burst_capacity() FDRI words (one cycle each) in one call:
+  /// one span CRC step, whole frames committed straight from the span. The
+  /// same as write_word() on each word in turn.
+  void write_words(WordsView words);
 
   /// Readback: after a type-1/2 READ of FDRO (preceded by FAR and CMD RCFG
   /// writes) the port enters kReadout and streams one configuration word
@@ -93,6 +101,8 @@ class Icap : public sim::Module {
  private:
   void fail(std::string why, ErrorCause cause = ErrorCause::kIcapProtocol);
   void handle_payload_word(u32 word);
+  /// Writes one whole frame at the FAR and advances it.
+  void commit_frame(WordsView frame);
   void begin_payload(bits::ConfigReg reg, u32 count, IcapState next);
   void begin_readout(u32 count);
   void finish_packet();

@@ -24,6 +24,15 @@ u32 Bram::read_word(std::size_t word_addr) const {
   return read_tap_ ? read_tap_(word_addr, value) : value;
 }
 
+WordsView Bram::read_words(std::size_t word_addr, std::size_t n) const {
+  if (word_addr > words_.size() || n > words_.size() - word_addr) {
+    throw std::out_of_range("Bram burst read out of range: " + name());
+  }
+  if (read_tap_) throw std::logic_error("Bram burst read with a read tap armed: " + name());
+  reads_ += n;
+  return WordsView(words_).subspan(word_addr, n);
+}
+
 void Bram::load(BytesView data, std::size_t word_offset) {
   Words packed = bytes_to_words(data);
   load_words(packed, word_offset);

@@ -28,6 +28,10 @@ class Bram : public sim::Module {
   /// Port B single-word read (UReC side). Reads are combinational in the
   /// model; the caller charges one clock cycle per read.
   [[nodiscard]] u32 read_word(std::size_t word_addr) const;
+  /// Port B burst: the `n` words from `word_addr`, counted as `n` reads
+  /// (UReC's burst path, one cycle per word). Throws with a read tap armed,
+  /// because the tap must see every read one by one.
+  [[nodiscard]] WordsView read_words(std::size_t word_addr, std::size_t n) const;
 
   /// Bulk preload helper: packs bytes big-endian into words starting at
   /// `word_offset`. Throws on overflow.
@@ -43,6 +47,7 @@ class Bram : public sim::Module {
   /// untouched — the tap models a read-path upset, not a write.
   using ReadTap = std::function<u32(std::size_t, u32)>;
   void set_read_tap(ReadTap tap) { read_tap_ = std::move(tap); }
+  [[nodiscard]] bool read_tapped() const noexcept { return static_cast<bool>(read_tap_); }
 
   [[nodiscard]] u64 reads() const noexcept { return reads_; }
   [[nodiscard]] u64 writes() const noexcept { return writes_; }

@@ -58,7 +58,7 @@ bits::PartialBitstream Scrubber::make_frame_repair_bitstream(const bits::Device&
 
   const std::size_t fdri_offset = pw.words().size() + 2;
   pw.write_fdri(frame.data);
-  for (u32 w : frame.data) crc.write(bits::ConfigReg::kFdri, w);
+  crc.write(bits::ConfigReg::kFdri, frame.data);
   pw.write_crc(crc.value());
   pw.command(bits::Command::kDesync);
   pw.noop(1);

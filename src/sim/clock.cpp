@@ -71,6 +71,20 @@ void Clock::schedule_tick() {
   });
 }
 
+u64 Clock::take_edges(u64 n) {
+  // A second subscriber would miss the claimed edges. Outside its own tick
+  // a running clock always has its next edge pending, so the pending check
+  // also confines bursts to this clock's handlers.
+  if (handlers_.size() != 1 || !running_ || tick_pending_) return 0;
+  const TimePs p = period();
+  const u64 got = sim_.inline_edges(sim_.now() + p, p, n);
+  if (got != 0) {
+    sim_.advance_burst(sim_.now() + p * got, got);
+    cycles_ += got;
+  }
+  return got;
+}
+
 void Clock::tick() {
   for (;;) {
     ++cycles_;

@@ -11,6 +11,9 @@
 // before every queued event and within the enclosing run's deadline and
 // budget) and otherwise schedules it as an event. Handlers see one call
 // per edge at that edge's time either way (see Simulation::can_inline).
+// The one exception is a burst: the clock's only subscriber may claim the
+// following edges from inside its handler (take_edges) and do their work
+// in the same call.
 #pragma once
 
 #include <functional>
@@ -62,6 +65,14 @@ class Clock {
   void set_supplied(bool supplied);
   [[nodiscard]] bool supplied() const noexcept { return supplied_; }
   [[nodiscard]] bool running() const noexcept { return enabled_ && supplied_; }
+
+  /// From inside this clock's handler, when it is the only subscriber:
+  /// claims up to `n` of the following edges and returns how many it got
+  /// (0 when they cannot all be inlined one by one). Time moves to the last
+  /// claimed edge and the handler does their work in the same call, so that
+  /// work must not depend on time, schedule anything, or change state that
+  /// another model reads between edges.
+  [[nodiscard]] u64 take_edges(u64 n);
 
   /// Rising edges delivered since construction.
   [[nodiscard]] u64 cycle_count() const noexcept { return cycles_; }

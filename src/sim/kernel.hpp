@@ -20,8 +20,15 @@
 // reference path. events_executed() counts kernel events only;
 // events_executed() + inlined_edges() equals the event count of the
 // reference path. step() never inlines.
+//
+// Bursts: a clock's only subscriber may take a run of the following edges
+// in one call (Clock::take_edges) when its work for them does not depend on
+// time and nothing else can observe them one by one. inline_edges() counts
+// the edges can_inline would allow one after another; they are inlined
+// edges, so the sum above still holds, and burst_edges() counts them too.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -154,6 +161,8 @@ class Simulation {
   [[nodiscard]] u64 events_executed() const noexcept { return executed_; }
   /// Clock edges delivered inside an already running event.
   [[nodiscard]] u64 inlined_edges() const noexcept { return inlined_; }
+  /// Inlined edges a clock's only subscriber took in bursts.
+  [[nodiscard]] u64 burst_edges() const noexcept { return burst_; }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 
   /// Turns edge inlining on (the default) or off. Off is the reference
@@ -173,6 +182,26 @@ class Simulation {
     now_ = t;
     --inline_room_;
     ++inlined_;
+  }
+  /// How many of the edges first, first + period, first + 2 * period, ...
+  /// can_inline would allow one after another, at most `limit`, provided
+  /// nothing is scheduled in between.
+  [[nodiscard]] u64 inline_edges(TimePs first, TimePs period, u64 limit) const noexcept {
+    u64 n = std::min(limit, inline_room_);
+    if (n == 0 || first > horizon_) return 0;
+    n = std::min(n, (horizon_ - first).ps() / period.ps() + 1);
+    if (queue_.empty()) return n;
+    const TimePs top = queue_.top().time;
+    if (first >= top) return 0;
+    return std::min(n, (top - first - TimePs(1)).ps() / period.ps() + 1);
+  }
+  /// Moves time to `t`, the last of `n` edges inline_edges() allowed, and
+  /// counts them as inlined burst edges.
+  void advance_burst(TimePs t, u64 n) noexcept {
+    now_ = t;
+    inline_room_ -= n;
+    inlined_ += n;
+    burst_ += n;
   }
 
   /// Pre-sizes the event heap (parallel shards reserve once at pool start
@@ -248,6 +277,7 @@ class Simulation {
   u64 seq_ = 0;
   u64 executed_ = 0;
   u64 inlined_ = 0;
+  u64 burst_ = 0;
   bool inline_edges_ = true;
   // Inline limits of the event being dispatched; zero room outside one.
   TimePs horizon_{};

@@ -188,7 +188,7 @@ bits::PartialBitstream TxnManager::make_blank_bitstream(const bits::Device& devi
   const Words payload(frame_count * device.frame_words, 0);
   const std::size_t fdri_offset = pw.words().size() + 2;
   pw.write_fdri(payload);
-  for (u32 w : payload) crc.write(bits::ConfigReg::kFdri, w);
+  crc.write(bits::ConfigReg::kFdri, payload);
   pw.write_crc(crc.value());
   pw.command(bits::Command::kDesync);
   pw.noop(1);

@@ -131,24 +131,44 @@ TEST(Crc32, SlicedWordsMatchBytewiseReference) {
 
 TEST(Crc32, ConfigCrcRegisterSequencesMatchBytewiseReference) {
   // bits::ConfigCrc folds each register write as the data word then the
-  // 5-bit register address; the word half goes through update_word.
-  const bits::ConfigReg regs[] = {bits::ConfigReg::kFar, bits::ConfigReg::kFdri,
-                                  bits::ConfigReg::kCmd, bits::ConfigReg::kCtl0,
-                                  bits::ConfigReg::kMask, bits::ConfigReg::kCor0,
-                                  bits::ConfigReg::kIdcode};
-  Prng rng(43);
-  for (int seq = 0; seq < 200; ++seq) {
-    bits::ConfigCrc fast;
-    Crc32 ref;
-    const std::size_t writes = rng.below(40);
-    for (std::size_t i = 0; i < writes; ++i) {
-      const bits::ConfigReg reg = regs[rng.below(std::size(regs))];
-      const u32 word = static_cast<u32>(rng.next());
-      fast.write(reg, word);
-      for (int shift = 24; shift >= 0; shift -= 8) ref.update(static_cast<u8>(word >> shift));
-      ref.update(static_cast<u8>(static_cast<u32>(reg) & 0x1Fu));
+  // 5-bit register address, one write at a time or a run as one span. For
+  // every register code and span lengths 0-97 (so the four-word step's
+  // tail runs at every length mod 4), from a random start state, both
+  // equal the bytewise reference, and so does Crc32::update_tagged.
+  Prng rng(47);
+  for (u32 code = 0; code < 32; ++code) {
+    const auto reg = static_cast<bits::ConfigReg>(code);
+    for (std::size_t len = 0; len <= 97; ++len) {
+      bits::ConfigCrc fused;
+      bits::ConfigCrc span;
+      Crc32 tagged;
+      Crc32 ref;
+      const auto feed_ref = [&](u32 word, u8 tag) {
+        for (int shift = 24; shift >= 0; shift -= 8) ref.update(static_cast<u8>(word >> shift));
+        ref.update(tag);
+      };
+      // A random run of writes to random registers sets the start state.
+      const std::size_t prefix = rng.below(4);
+      for (std::size_t i = 0; i < prefix; ++i) {
+        const u32 prefix_code = static_cast<u32>(rng.below(32));
+        const u32 word = static_cast<u32>(rng.next());
+        fused.write(static_cast<bits::ConfigReg>(prefix_code), word);
+        span.write(static_cast<bits::ConfigReg>(prefix_code), word);
+        tagged.update_tagged(word, static_cast<u8>(prefix_code));
+        feed_ref(word, static_cast<u8>(prefix_code));
+      }
+      Words words(len);
+      for (auto& w : words) w = static_cast<u32>(rng.next());
+      for (u32 w : words) {
+        fused.write(reg, w);
+        feed_ref(w, static_cast<u8>(code));
+      }
+      span.write(reg, words);
+      tagged.update_tagged(words, static_cast<u8>(code));
+      ASSERT_EQ(fused.value(), ref.value()) << "register " << code << ", " << len << " words";
+      ASSERT_EQ(span.value(), ref.value()) << "register " << code << ", " << len << " words";
+      ASSERT_EQ(tagged.value(), ref.value()) << "register " << code << ", " << len << " words";
     }
-    ASSERT_EQ(fast.value(), ref.value()) << "sequence " << seq;
   }
 }
 

@@ -51,6 +51,32 @@ TEST_F(UrecFixture, StreamsOneWordPerCycle) {
   // EN gating: clock off after Finish.
   EXPECT_FALSE(clk2.enabled());
   EXPECT_EQ(urec.words_to_icap(), bs.body.size());
+  // The FDRI run streams in a burst; each word still counts one read and
+  // one cycle.
+  EXPECT_GT(sim.burst_edges(), 0u);
+  EXPECT_EQ(bram.reads(), 1 + bs.body.size());
+  EXPECT_EQ(urec.active_cycles(), 1 + bs.body.size());
+}
+
+TEST_F(UrecFixture, ABramReadTapSeesEveryWordSoNothingBursts) {
+  auto bs = make_bs(16_KiB);
+  bram.write_word(0, manager::BramLayout::make_header(false, static_cast<u32>(bs.body.size())));
+  bram.load_words(bs.body, 1);
+  u64 tapped = 0;
+  bram.set_read_tap([&](std::size_t, u32 value) {
+    ++tapped;
+    return value;
+  });
+
+  TimePs finish_time{};
+  urec.start([&] { finish_time = sim.now(); });
+  sim.run();
+
+  EXPECT_EQ(urec.state(), UrecState::kFinished);
+  EXPECT_TRUE(plane.contains(bs.frames));
+  EXPECT_EQ(tapped, 1 + bs.body.size());
+  EXPECT_EQ(sim.burst_edges(), 0u);
+  EXPECT_EQ(finish_time.ps(), (1 + bs.body.size()) * 10'000);
 }
 
 TEST_F(UrecFixture, ErrorsOnEmptyPayload) {

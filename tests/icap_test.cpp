@@ -1,6 +1,9 @@
 // Unit tests for the ICAP primitive model, config plane, DRP bus and DCM.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "bitstream/generator.hpp"
 #include "fault/injector.hpp"
 #include "icap/dcm.hpp"
@@ -241,6 +244,104 @@ TEST_F(IcapFixture, WriteDuringReadoutErrors) {
   ASSERT_TRUE(port.readout_active());
   port.write_word(bits::kNoopWord);
   EXPECT_TRUE(port.errored());
+}
+
+// write_words against write_word on a hand-built body: FDRI data in two
+// type-2 packets with a frame straddling the boundary, then a type-1 FDRI
+// packet with no FAR write in between, so its frame lands where the FAR
+// auto-incremented to.
+class IcapBurst : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {};
+
+TEST_P(IcapBurst, SpanWritesMatchTheWordPath) {
+  const auto [family, chunk] = GetParam();
+  const bits::Device device = family == 5 ? bits::kVirtex5Sx50t : bits::kVirtex6Lx240t;
+  const std::size_t fw = device.frame_words;
+  const bits::FrameAddress origin{0, 0, 1, 20, 126};  // crosses a column
+  Words payload(4 * fw + fw);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<u32>(i * 2654435761u);
+  const WordsView data(payload);
+
+  bits::PacketWriter pw;
+  pw.prologue();
+  bits::ConfigCrc crc;
+  auto tracked = [&](bits::ConfigReg reg, u32 value) {
+    pw.write_reg(reg, value);
+    crc.write(reg, value);
+  };
+  tracked(bits::ConfigReg::kCmd, static_cast<u32>(bits::Command::kRcrc));
+  crc.reset();
+  tracked(bits::ConfigReg::kIdcode, device.idcode);
+  tracked(bits::ConfigReg::kFar, origin.pack());
+  tracked(bits::ConfigReg::kCmd, static_cast<u32>(bits::Command::kWcfg));
+  const std::size_t first = fw + fw / 2;  // 1.5 frames, then 2.5
+  pw.write_fdri(data.subspan(0, first));
+  pw.write_fdri(data.subspan(first, 4 * fw - first));
+  Words body = pw.take();
+  body.push_back(bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kFdri, static_cast<u32>(fw)));
+  body.insert(body.end(), data.begin() + static_cast<std::ptrdiff_t>(4 * fw), data.end());
+  crc.write(bits::ConfigReg::kFdri, data);
+  bits::PacketWriter tail;
+  tail.write_crc(crc.value());
+  tail.command(bits::Command::kDesync);
+  body.insert(body.end(), tail.words().begin(), tail.words().end());
+
+  sim::Simulation sim;
+  ConfigPlane word_plane(sim, "word_plane", device);
+  Icap word_port(sim, "word", word_plane);
+  ConfigPlane span_plane(sim, "span_plane", device);
+  Icap span_port(sim, "span", span_plane);
+  for (u32 w : body) word_port.write_word(w);
+  std::size_t spans = 0;
+  for (std::size_t i = 0; i < body.size();) {
+    const std::size_t n = std::min<std::size_t>({span_port.burst_capacity(), chunk,
+                                                 body.size() - i});
+    if (n == 0) {
+      span_port.write_word(body[i++]);
+      continue;
+    }
+    span_port.write_words(WordsView(body).subspan(i, n));
+    i += n;
+    ++spans;
+  }
+
+  EXPECT_GT(spans, 2u);
+  ASSERT_TRUE(word_port.done());
+  EXPECT_TRUE(word_port.crc_ok());
+  EXPECT_TRUE(word_plane.contains(bits::split_frames(device, origin, data)));
+  EXPECT_TRUE(span_port.done()) << span_port.error_message();
+  EXPECT_TRUE(span_port.crc_checked());
+  EXPECT_TRUE(span_port.crc_ok());
+  EXPECT_TRUE(span_plane.same_frames(word_plane));
+  EXPECT_EQ(span_plane.total_frame_writes(), word_plane.total_frame_writes());
+  EXPECT_EQ(span_port.words_consumed(), word_port.words_consumed());
+  EXPECT_EQ(span_port.frames_committed(), word_port.frames_committed());
+  EXPECT_EQ(span_port.frames_committed(), 5u);
+  EXPECT_EQ(span_port.in_flight_frame_words(), 0u);
+  EXPECT_EQ(sim.metrics().counter("span.words").value(),
+            sim.metrics().counter("word.words").value());
+  EXPECT_EQ(sim.metrics().counter("span.frames").value(),
+            sim.metrics().counter("word.frames").value());
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, IcapBurst,
+                         ::testing::Combine(::testing::Values(5u, 6u),
+                                            ::testing::Values(std::size_t{7}, std::size_t{40},
+                                                              std::size_t{1000})));
+
+TEST_F(IcapFixture, NoBurstOutsideFdriOrWithAWriteTap) {
+  bits::GeneratorConfig cfg;
+  cfg.target_body_bytes = 8_KiB;
+  const auto bs = bits::Generator(cfg).generate();
+  // Up to the FDRI type-2 header: no burst yet; then all but the last word.
+  for (std::size_t i = 0; i < bs.fdri_offset; ++i) {
+    EXPECT_EQ(port.burst_capacity(), 0u) << "word " << i;
+    port.write_word(bs.body[i]);
+  }
+  EXPECT_EQ(port.burst_capacity(), bs.fdri_words - 1);
+  EXPECT_THROW(port.write_words(WordsView(bs.body).subspan(bs.fdri_offset, bs.fdri_words)),
+               std::logic_error);
+  port.set_write_tap([](u32&) { return false; });
+  EXPECT_EQ(port.burst_capacity(), 0u);
 }
 
 TEST(ConfigPlaneTest, FrameStorageAndMismatch) {

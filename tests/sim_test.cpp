@@ -1,6 +1,10 @@
 // Unit tests for the simulation kernel: event ordering, clocks, FIFOs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <tuple>
+
 #include "sim/clock.hpp"
 #include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
@@ -450,6 +454,124 @@ TEST(InlineEdgesOracle, TwoDomainsInterleaveIdentically) {
   const auto reference = run(false);
   ASSERT_EQ(reference.first.size(), 36u);
   EXPECT_EQ(run(true), reference);
+}
+
+// Bursts: a clock's only subscriber claims the following edges in one call
+// (Clock::take_edges). It must get exactly the edges can_inline would have
+// allowed one by one.
+
+/// Runs a 100 MHz clock (10 ns edges) whose only subscriber asks for `want`
+/// edges on its first edge, then gates the clock off. Returns the edges the
+/// burst got.
+u64 first_burst(Simulation& sim, u64 want, const std::function<void()>& run) {
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  u64 got = 0;
+  clk.on_rising([&] {
+    if (clk.cycle_count() == 1) got = clk.take_edges(want);
+    if (clk.cycle_count() >= 1 + got) clk.disable();
+  });
+  clk.enable();
+  run();
+  EXPECT_EQ(clk.cycle_count(), 1 + got);
+  EXPECT_EQ(sim.burst_edges(), got);
+  return got;
+}
+
+TEST(Bursts, AnEventAtEdgeKAllowsKMinusOneBurstEdges) {
+  // The first edge is at 10 ns; an event queued at edge 1 + k stops the
+  // burst before it, because that event was scheduled first.
+  for (const u64 k : {1u, 2u, 7u}) {
+    Simulation sim;
+    sim.schedule_at(TimePs(10'000 * (1 + k)), [] {});
+    EXPECT_EQ(first_burst(sim, 100, [&] { sim.run(); }), k - 1) << "k=" << k;
+  }
+  Simulation sim;
+  sim.schedule_at(TimePs(10'000 * 8 + 1), [] {});  // just after edge 1 + 7
+  EXPECT_EQ(first_burst(sim, 100, [&] { sim.run(); }), 7u);
+}
+
+TEST(Bursts, ARunUntilDeadlineOnAnEdgeIncludesThatEdge) {
+  Simulation on_edge;
+  EXPECT_EQ(first_burst(on_edge, 100, [&] { on_edge.run_until(TimePs(10'000 * 6)); }), 5u);
+  Simulation before_edge;
+  EXPECT_EQ(
+      first_burst(before_edge, 100, [&] { before_edge.run_until(TimePs(10'000 * 6 - 1)); }),
+      4u);
+}
+
+TEST(Bursts, TheEventBudgetCapsTheCount) {
+  // run(6): the edge event takes one slot, the burst at most the other 5.
+  Simulation sim;
+  EXPECT_EQ(first_burst(sim, 100, [&] { EXPECT_NO_THROW(sim.run(6)); }), 5u);
+  EXPECT_EQ(sim.events_executed() + sim.inlined_edges(), 6u);
+  Simulation capped;  // and the request caps it below the budget
+  EXPECT_EQ(first_burst(capped, 3, [&] { capped.run(); }), 3u);
+}
+
+TEST(Bursts, NoBurstWithoutInliningOrOutsideTheHandler) {
+  Simulation sim;
+  sim.set_inline_edges(false);
+  EXPECT_EQ(first_burst(sim, 100, [&] { sim.run(); }), 0u);
+  Simulation idle;
+  Clock clk(idle, "clk", Frequency::mhz(100));
+  clk.on_rising([] {});
+  clk.enable();
+  EXPECT_EQ(clk.take_edges(5), 0u);  // outside a tick: the next edge is pending
+  EXPECT_EQ(idle.now(), TimePs(0));
+}
+
+TEST(Bursts, AClockWithTwoSubscribersNeverBursts) {
+  Simulation sim;
+  Clock clk(sim, "clk", Frequency::mhz(100));
+  u64 first_sees = 0;
+  u64 second_sees = 0;
+  clk.on_rising([&] { first_sees += 1 + clk.take_edges(10); });
+  clk.on_rising([&] {
+    ++second_sees;
+    if (clk.cycle_count() >= 40) clk.disable();
+  });
+  clk.enable();
+  sim.run();
+  EXPECT_EQ(clk.cycle_count(), 40u);
+  EXPECT_EQ(first_sees, 40u);
+  EXPECT_EQ(second_sees, 40u);
+  EXPECT_EQ(sim.burst_edges(), 0u);
+  EXPECT_EQ(sim.inlined_edges(), 39u);
+}
+
+TEST(Bursts, BurstEdgesAreInlinedEdgesAtTheSameTimes) {
+  // A sole subscriber that claims up to 4 edges at a time, against foreign
+  // events between edges and on them: the edges it covers, interleaved with
+  // the events, the clock's cycle count and events plus inlined edges match
+  // the one-event-per-edge path.
+  const auto run = [](bool inline_edges) {
+    Simulation sim;
+    sim.set_inline_edges(inline_edges);
+    Clock clk(sim, "clk", Frequency::mhz(100));
+    std::vector<std::string> log;
+    clk.on_rising([&] {
+      log.push_back("edge@" + std::to_string(sim.now().ps()));
+      const u64 got = clk.take_edges(std::min<u64>(4, 50 - clk.cycle_count()));
+      for (u64 j = got; j > 0; --j) {
+        log.push_back("edge@" + std::to_string(sim.now().ps() - (j - 1) * 10'000));
+      }
+      if (clk.cycle_count() >= 50) clk.disable();
+    });
+    const auto note = [&] { log.push_back("event@" + std::to_string(sim.now().ps())); };
+    for (u64 t = 35'000; t < 600'000; t += 73'000) sim.schedule_at(TimePs(t), note);
+    for (u64 t = 40'000; t < 600'000; t += 70'000) sim.schedule_at(TimePs(t), note);
+    clk.enable();
+    sim.run();
+    return std::tuple{log, clk.cycle_count(), sim.events_executed() + sim.inlined_edges(),
+                      sim.burst_edges() > 0};
+  };
+  const auto reference = run(false);
+  const auto bursts = run(true);
+  EXPECT_EQ(std::get<0>(bursts), std::get<0>(reference));
+  EXPECT_EQ(std::get<1>(bursts), std::get<1>(reference));
+  EXPECT_EQ(std::get<2>(bursts), std::get<2>(reference));
+  EXPECT_TRUE(std::get<3>(bursts));
+  EXPECT_FALSE(std::get<3>(reference));
 }
 
 TEST(Fifo, PushPopOrder) {
