@@ -154,16 +154,22 @@ Result<ParsedBody> parse_body(const Device& device, WordsView body) {
   return out;
 }
 
-Result<ParsedFile> parse_file(const Device& device, BytesView file) {
+Result<ParsedFile> parse_file(BytesView file) {
   auto ph = parse_header(file);
   if (!ph.ok()) return ph.error();
   const auto& parsed = ph.value();
-  BytesView body_bytes = file.subspan(parsed.body_offset, parsed.header.body_bytes);
-  if (body_bytes.size() % 4 != 0) return make_error("body is not word aligned", ErrorCause::kBadInput);
-  Words body = bytes_to_words(body_bytes);
-  auto pb = parse_body(device, body);
-  if (!pb.ok()) return pb.error();
-  return ParsedFile{parsed.header, std::move(pb).value()};
+  if (parsed.header.body_bytes % 4 != 0) {
+    return make_error("body is not word aligned", ErrorCause::kBadInput);
+  }
+  PartialBitstream bs;
+  bs.header = parsed.header;
+  bs.body = bytes_to_words(file.subspan(parsed.body_offset, parsed.header.body_bytes));
+  const std::optional<Device> device = identify_device(bs.body);
+  if (!device) return make_error("no IDCODE write names a known device", ErrorCause::kBadInput);
+  auto body = parse_body(*device, bs.body);
+  if (!body.ok()) return body.error();
+  bs.frames = std::move(body.value().frames);
+  return ParsedFile{*device, std::move(bs), std::move(body).value()};
 }
 
 }  // namespace uparc::bits

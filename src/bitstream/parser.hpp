@@ -81,11 +81,15 @@ struct ParsedBody {
 /// via `crc_checked`/`crc_ok` (that is a data error, not a format error).
 [[nodiscard]] Result<ParsedBody> parse_body(const Device& device, WordsView body);
 
-/// Convenience: parse a whole .bit file (header + body).
+/// A whole .bit file, as parse_file reads it.
 struct ParsedFile {
-  BitstreamHeader header;
-  ParsedBody body;
+  Device device;               ///< named by the body's first IDCODE write
+  PartialBitstream bitstream;  ///< header, body words and frames
+  ParsedBody body;             ///< the body's parse; its frames are in `bitstream`
 };
-[[nodiscard]] Result<ParsedFile> parse_file(const Device& device, BytesView file);
+
+/// The one reader of .bit files: the header, the word-aligned body, the
+/// device the body's first IDCODE write names, and the parsed body.
+[[nodiscard]] Result<ParsedFile> parse_file(BytesView file);
 
 }  // namespace uparc::bits

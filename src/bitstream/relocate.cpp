@@ -49,13 +49,6 @@ Result<ParsedBody> relocate_in_place(const Device& device, Words& body, FrameAdd
 
 }  // namespace
 
-Result<Words> relocate_body(const Device& device, WordsView body, FrameAddress new_start) {
-  Words out(body.begin(), body.end());
-  auto parsed = relocate_in_place(device, out, new_start);
-  if (!parsed.ok()) return parsed.error();
-  return out;
-}
-
 Result<PartialBitstream> relocate(const PartialBitstream& bs, FrameAddress new_start) {
   const std::optional<Device> device = identify_device(bs.body);
   if (!device) return make_error("relocate: could not identify device from IDCODE");

@@ -19,9 +19,4 @@ namespace uparc::bits {
 [[nodiscard]] Result<PartialBitstream> relocate(const PartialBitstream& bs,
                                                 FrameAddress new_start);
 
-/// Body-level variant for streams without generator ground truth: rewrites
-/// FARs/CRC in `body` (parsed against `device`) and returns the new body.
-[[nodiscard]] Result<Words> relocate_body(const Device& device, WordsView body,
-                                          FrameAddress new_start);
-
 }  // namespace uparc::bits

@@ -28,11 +28,6 @@ bool Value::as_bool() const {
   return boolean;
 }
 
-double Value::as_double() const {
-  if (type != Type::kNumber) throw std::runtime_error("json: not a number");
-  return std::strtod(text.c_str(), nullptr);
-}
-
 u64 Value::as_u64() const {
   if (type != Type::kNumber) throw std::runtime_error("json: not a number");
   errno = 0;
@@ -42,17 +37,6 @@ u64 Value::as_u64() const {
     throw std::runtime_error("json: not a u64: " + text);
   }
   return static_cast<u64>(v);
-}
-
-i64 Value::as_i64() const {
-  if (type != Type::kNumber) throw std::runtime_error("json: not a number");
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') {
-    throw std::runtime_error("json: not an i64: " + text);
-  }
-  return static_cast<i64>(v);
 }
 
 const std::string& Value::as_string() const {

@@ -10,9 +10,9 @@
 //
 //   * objects preserve key order (vector of pairs, not a map) so a
 //     parse→re-render pipeline can stay byte-comparable;
-//   * numbers keep their raw spelling; `as_u64`/`as_i64` re-parse the
-//     original token so 64-bit counters (ps timestamps, CRCs) survive
-//     without a trip through double;
+//   * numbers keep their raw spelling; `as_u64` re-parses the original
+//     token so 64-bit counters (ps timestamps, CRCs) survive without a
+//     trip through double;
 //   * errors carry the byte offset of the failure, never an exception type
 //     fancier than the Result<> used everywhere else in the tree.
 #pragma once
@@ -57,9 +57,7 @@ class Value {
   [[nodiscard]] const Value& at(std::string_view key) const;
 
   [[nodiscard]] bool as_bool() const;
-  [[nodiscard]] double as_double() const;
-  [[nodiscard]] u64 as_u64() const;    ///< exact, re-parsed from the raw token
-  [[nodiscard]] i64 as_i64() const;    ///< exact, re-parsed from the raw token
+  [[nodiscard]] u64 as_u64() const;  ///< exact, re-parsed from the raw token
   [[nodiscard]] const std::string& as_string() const;
 };
 

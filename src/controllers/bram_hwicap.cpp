@@ -20,11 +20,6 @@ BramHwicap::BramHwicap(sim::Simulation& sim, std::string name, icap::Icap& port,
   clock_.on_rising([this] { on_edge(); });
 }
 
-double BramHwicap::words_per_cycle() const {
-  const double per_burst = params_.burst_words + params_.inter_burst_stall;
-  return params_.burst_words / per_burst;
-}
-
 Status BramHwicap::stage(const bits::PartialBitstream& bs) {
   if (bs.body.size() * 4 > bram_.size_bytes()) {
     return make_error("bitstream exceeds BRAM_HWICAP's on-chip storage (" +

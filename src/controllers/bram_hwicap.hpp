@@ -35,9 +35,6 @@ class BramHwicap final : public ReconfigController {
   [[nodiscard]] Status stage(const bits::PartialBitstream& bs) override;
   void reconfigure(ReconfigCallback done) override;
 
-  /// Effective words per clock cycle implied by the burst parameters.
-  [[nodiscard]] double words_per_cycle() const;
-
   [[nodiscard]] sim::Clock& clock() noexcept { return clock_; }
 
  private:

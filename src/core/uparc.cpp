@@ -78,34 +78,16 @@ Status Uparc::set_codec(compress::CodecId codec) {
 void Uparc::set_cache(cache::BitstreamCache* cache) {
   cache_ = cache;
   resident_.reset();
-  resident_spec_ = false;
   last_stage_tier_ = cache::CacheTier::kBypass;
 }
 
-Status Uparc::stage(const bits::PartialBitstream& bs) {
-  return stage_internal(bs, nullptr, /*speculative=*/false);
-}
+Status Uparc::stage(const bits::PartialBitstream& bs) { return stage_internal(bs, nullptr); }
 
 Status Uparc::stage(const bits::Image& image) {
-  return stage_internal(image.bitstream(), &image, /*speculative=*/false);
+  return stage_internal(image.bitstream(), &image);
 }
 
-Status Uparc::stage_speculative(const bits::PartialBitstream& bs) {
-  if (cache_ == nullptr) {
-    return make_error("UPaRC: speculative stage needs an attached cache",
-                      ErrorCause::kUnsupported);
-  }
-  // Never disturb demand work: an unfinished staging, a queued launch or a
-  // running reconfiguration all suppress the speculation.
-  if (pending_reconfig_ || (!staging_done_ && staged_payload_bytes_ != 0)) {
-    return make_error("UPaRC: speculative stage while demand work is in flight",
-                      ErrorCause::kBusy);
-  }
-  return stage_internal(bs, nullptr, /*speculative=*/true);
-}
-
-Status Uparc::stage_internal(const bits::PartialBitstream& bs, const bits::Image* image,
-                             bool speculative) {
+Status Uparc::stage_internal(const bits::PartialBitstream& bs, const bits::Image* image) {
   if (urec_.busy()) {
     return make_error("UPaRC: stage while a reconfiguration is in flight",
                       ErrorCause::kBusy);
@@ -141,7 +123,7 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, const bits::Image
   const std::size_t raw_needed = (1 + bs.body.size()) * 4;
   const bool raw_fits = raw_needed <= bram_.size_bytes();
 
-  // --- cache and prefetch bookkeeping --------------------------------------
+  // --- cache bookkeeping ---------------------------------------------------
   std::optional<cache::CacheKey> key;
   if (cache_ != nullptr) {
     const u8 codec = static_cast<u8>(codec_id_);
@@ -149,24 +131,6 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, const bits::Image
       key = raw_fits ? cache::key_of(*image) : cache::key_of_compressed(*image, codec);
     } else {
       key = raw_fits ? cache::key_of(bs) : cache::key_of_compressed(bs, codec);
-    }
-    if (!speculative) {
-      if (!staging_done_ && staged_payload_bytes_ != 0 && inflight_spec_) {
-        // A demand load lands while a speculative copy is still in the DMA:
-        // the epoch guard below drops the speculative completion.
-        ++prefetch_overwritten_;
-        metrics().counter(name() + ".prefetch_overwritten").add();
-      }
-      if (resident_ && resident_spec_) {
-        if (*resident_ == *key) {
-          ++prefetch_hits_;
-          metrics().counter(name() + ".prefetch_hits").add();
-        } else {
-          ++prefetch_mispredicts_;
-          metrics().counter(name() + ".prefetch_mispredicts").add();
-        }
-        resident_spec_ = false;  // prediction consumed either way
-      }
     }
   }
   last_stage_tier_ = cache_ == nullptr ? cache::CacheTier::kBypass : cache::CacheTier::kMiss;
@@ -178,11 +142,9 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, const bits::Image
     tr->end(stage_span_);  // a restage supersedes an unfinished staging
     stage_span_ = tr->begin("uparc.stage", "stage");
     tr->arg(stage_span_, "payload_bytes", static_cast<double>(staged_payload_bytes_));
-    tr->arg(stage_span_, "speculative", speculative);
   }
 
   inflight_key_ = key;
-  inflight_spec_ = speculative;
   const auto staged_cb = [this, e = ++staging_epoch_] {
     if (e == staging_epoch_) on_staged();
   };
@@ -348,10 +310,8 @@ void Uparc::on_staged() {
     // word landed — a truncated copy leaves a stale tail.
     if (inflight_key_ && preloader_.last_copy_complete()) {
       resident_ = inflight_key_;
-      resident_spec_ = inflight_spec_;
     } else {
       resident_.reset();
-      resident_spec_ = false;
     }
   }
   metrics().gauge(name() + ".staged_bytes").set(static_cast<double>(stored_bytes_));
@@ -476,10 +436,7 @@ void Uparc::cache_invalidate(const bits::Image& image) {
   const cache::CacheKey comp = cache::key_of_compressed(image, static_cast<u8>(codec_id_));
   cache_->invalidate(raw);
   cache_->invalidate(comp);
-  if (resident_ && (*resident_ == raw || *resident_ == comp)) {
-    resident_.reset();
-    resident_spec_ = false;
-  }
+  if (resident_ && (*resident_ == raw || *resident_ == comp)) resident_.reset();
 }
 
 std::optional<manager::AdaptationPlan> Uparc::adapt(manager::FrequencyPolicy policy,

@@ -78,22 +78,12 @@ class Uparc final : public ctrl::ReconfigController {
     return last_stage_tier_;
   }
 
-  /// Speculative stage issued by the prefetch engine: identical to stage()
-  /// but refuses (kBusy) instead of disturbing demand work in flight, and
-  /// tags the staged image so the next demand stage() is scored as a
-  /// prefetch hit (same image) or mispredict (different image).
-  [[nodiscard]] Status stage_speculative(const bits::PartialBitstream& bs);
-
   /// Cache coherence hooks for the transaction layer: commit promotes the
   /// image (admitting it first if needed), rollback purges every key that
   /// could serve it — raw and current-codec compressed — and drops the
   /// resident tag so a poisoned staging window is never trusted.
   void cache_promote(const bits::Image& image);
   void cache_invalidate(const bits::Image& image);
-
-  [[nodiscard]] u64 prefetch_hits() const noexcept { return prefetch_hits_; }
-  [[nodiscard]] u64 prefetch_mispredicts() const noexcept { return prefetch_mispredicts_; }
-  [[nodiscard]] u64 prefetch_overwritten() const noexcept { return prefetch_overwritten_; }
 
   // ----- UPaRC-specific API ------------------------------------------------
   /// Chooses and programs the reconfiguration frequency per policy before
@@ -137,8 +127,7 @@ class Uparc final : public ctrl::ReconfigController {
   void on_staged();
   /// `image` is null on the PartialBitstream entry points, which lint and
   /// hash `bs` from scratch; otherwise `bs` is its bitstream.
-  [[nodiscard]] Status stage_internal(const bits::PartialBitstream& bs,
-                                      const bits::Image* image, bool speculative);
+  [[nodiscard]] Status stage_internal(const bits::PartialBitstream& bs, const bits::Image* image);
 
   UparcConfig config_;
   icap::Icap& port_;
@@ -179,12 +168,7 @@ class Uparc final : public ctrl::ReconfigController {
   // Key of the image currently (or about to be) occupying the staging
   // window; resident_ is only trusted when the copy landed complete.
   std::optional<cache::CacheKey> resident_;
-  bool resident_spec_ = false;  // resident image came from a prefetch
   std::optional<cache::CacheKey> inflight_key_;
-  bool inflight_spec_ = false;
-  u64 prefetch_hits_ = 0;
-  u64 prefetch_mispredicts_ = 0;
-  u64 prefetch_overwritten_ = 0;
 };
 
 }  // namespace uparc::core

@@ -5,9 +5,14 @@
 namespace uparc::fault {
 namespace {
 
-/// Default knob values where SiteConfig::param is left at 0.
-constexpr unsigned kDefaultStallCycles = 64;
+/// Default knob value where SiteConfig::param is left at 0.
 constexpr double kDefaultKeepFraction = 0.5;
+
+/// Stream index of the first site. Site i draws from stream i + 1 +
+/// kRetiredSites: three storage sites that no path armed once held streams
+/// 1-3, and every recorded faulted run (soak, serve, crash sweep, the
+/// perfbench fleet) replays only while the surviving sites keep theirs.
+constexpr std::size_t kRetiredSites = 3;
 
 }  // namespace
 
@@ -20,7 +25,7 @@ void FaultInjector::reset() {
   for (std::size_t i = 0; i < states_.size(); ++i) {
     // Independent splitmix-spaced stream per site: the interleaving of
     // opportunities across sites cannot perturb any one site's draws.
-    states_[i].prng.reseed(plan_.seed + (i + 1) * 0xD1B54A32D192ED03ULL);
+    states_[i].prng.reseed(plan_.seed + (i + 1 + kRetiredSites) * 0xD1B54A32D192ED03ULL);
     states_[i].opportunities = 0;
     states_[i].fires = 0;
     states_[i].burst_left = 0;
@@ -69,27 +74,6 @@ void FaultInjector::arm_bram(mem::Bram& bram) {
   bram.set_read_tap([this](std::size_t, u32 value) {
     return should_fire(FaultSite::kBramRead) ? flip_bit(FaultSite::kBramRead, value)
                                              : value;
-  });
-}
-
-void FaultInjector::arm_ddr2(mem::Ddr2& ddr2) {
-  ddr2.set_read_tap([this](std::size_t, u32 value) {
-    return should_fire(FaultSite::kDdr2Read) ? flip_bit(FaultSite::kDdr2Read, value)
-                                             : value;
-  });
-  ddr2.set_stall_tap([this]() -> unsigned {
-    if (!should_fire(FaultSite::kDdr2Stall)) return 0;
-    const double param = plan_.at(FaultSite::kDdr2Stall).param;
-    return param > 0 ? static_cast<unsigned>(param) : kDefaultStallCycles;
-  });
-}
-
-void FaultInjector::arm_compact_flash(mem::CompactFlash& cf) {
-  cf.set_sector_tap([this](std::size_t, Bytes& sector) {
-    if (sector.empty() || !should_fire(FaultSite::kCfSector)) return;
-    SiteState& st = state(FaultSite::kCfSector);
-    const std::size_t pos = st.prng.below(sector.size());
-    sector[pos] = static_cast<u8>(sector[pos] ^ (u8{1} << st.prng.below(8)));
   });
 }
 

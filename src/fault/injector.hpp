@@ -1,9 +1,9 @@
 // FaultInjector — wires a FaultPlan into the module-level fault hooks.
 //
 // The mem/icap/clocking/core modules stay fault-agnostic: each exposes a
-// generic tap (read tap, sector tap, lock-fault hook, write tap, truncate
-// tap) and this layer, which sits at the top of the stack, installs
-// closures that consult the plan. Each site keeps its own PRNG stream and
+// generic tap (read tap, lock-fault hook, write tap, truncate tap) and
+// this layer, which sits at the top of the stack, installs closures that
+// consult the plan. Each site keeps its own PRNG stream and
 // counters, so identical plans replay identically and tests can assert on
 // exactly which faults fired (mirrored into the module's stats scope).
 #pragma once
@@ -13,8 +13,6 @@
 #include "common/prng.hpp"
 #include "core/uparc.hpp"
 #include "fault/plan.hpp"
-#include "mem/compact_flash.hpp"
-#include "mem/ddr2.hpp"
 #include "sim/module.hpp"
 
 namespace uparc::fault {
@@ -30,8 +28,6 @@ class FaultInjector : public sim::Module {
 
   // Individual hooks, for baseline controllers and targeted tests.
   void arm_bram(mem::Bram& bram);
-  void arm_ddr2(mem::Ddr2& ddr2);
-  void arm_compact_flash(mem::CompactFlash& cf);
   void arm_decompressor(core::DecompressorUnit& decomp);
   void arm_preloader(manager::Preloader& preloader);
   void arm_dcm(icap::Dcm& dcm);

@@ -14,25 +14,19 @@
 
 namespace uparc::fault {
 
-/// Injection sites along the reconfiguration path, outermost storage first.
+/// Injection sites along the reconfiguration path, outermost first.
 enum class FaultSite : std::size_t {
-  kCfSector = 0,     ///< CompactFlash sector corruption (one byte per fire)
-  kDdr2Read,         ///< DDR2 read-path bit flip (word leaving a burst)
-  kDdr2Stall,        ///< DDR2 controller stall (extra cycles on a burst)
-  kPreloadTruncate,  ///< torn preload: only a prefix of the payload lands
-  kBramRead,         ///< BRAM port-B read-path bit flip (UReC side)
-  kDecompInput,      ///< bit flip on the compressed stream into the decoder
-  kDcmLockFail,      ///< DCM relock elapses without achieving LOCKED
-  kIcapCorrupt,      ///< bit flip on the word entering the ICAP
-  kIcapAbort,        ///< ICAP driven into its error state mid-stream
+  kPreloadTruncate = 0,  ///< torn preload: only a prefix of the payload lands
+  kBramRead,             ///< BRAM port-B read-path bit flip (UReC side)
+  kDecompInput,          ///< bit flip on the compressed stream into the decoder
+  kDcmLockFail,          ///< DCM relock elapses without achieving LOCKED
+  kIcapCorrupt,          ///< bit flip on the word entering the ICAP
+  kIcapAbort,            ///< ICAP driven into its error state mid-stream
   kCount
 };
 
 [[nodiscard]] constexpr const char* to_string(FaultSite s) {
   switch (s) {
-    case FaultSite::kCfSector: return "cf_sector";
-    case FaultSite::kDdr2Read: return "ddr2_read";
-    case FaultSite::kDdr2Stall: return "ddr2_stall";
     case FaultSite::kPreloadTruncate: return "preload_truncate";
     case FaultSite::kBramRead: return "bram_read";
     case FaultSite::kDecompInput: return "decomp_input";
@@ -57,8 +51,8 @@ struct SiteConfig {
   u64 after = 0;            ///< skip this many opportunities before arming
   u64 burst = 1;            ///< consecutive opportunities hit per fire
   u64 max_fires = ~u64{0};  ///< cap on fires (bursts)
-  /// Site-specific knob: kDdr2Stall = stall cycles per fire (0 -> 64);
-  /// kPreloadTruncate = fraction of the payload kept (0 -> 0.5).
+  /// Site-specific knob: kPreloadTruncate = fraction of the payload kept
+  /// (0 -> 0.5).
   double param = 0.0;
 
   [[nodiscard]] bool armed() const noexcept { return rate > 0.0; }

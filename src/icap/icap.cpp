@@ -76,11 +76,6 @@ void Icap::fail(std::string why, ErrorCause cause) {
   close_burst_span("error");
 }
 
-void Icap::inject_abort(std::string why) {
-  if (state_ == IcapState::kDesynced || state_ == IcapState::kError) return;
-  fail(std::move(why), ErrorCause::kIcapAbort);
-}
-
 void Icap::begin_payload(bits::ConfigReg reg, u32 count, IcapState next) {
   current_reg_ = reg;
   payload_left_ = count;

@@ -66,10 +66,6 @@ class Icap : public sim::Module {
   /// an injected abort instead of pattern-matching the message.
   [[nodiscard]] ErrorCause error_cause() const noexcept { return cause_; }
 
-  /// Forces the port into its error state mid-stream, as a hard fault (or
-  /// the fault-injection framework) would. No-op once desynced or errored.
-  void inject_abort(std::string why);
-
   /// Fault-injection tap, consulted on every write_word before the FSM
   /// sees the word. The tap may mutate the word; returning true aborts the
   /// port (kIcapAbort) instead of consuming it.

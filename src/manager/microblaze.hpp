@@ -23,7 +23,6 @@ struct MicroBlazeCosts {
   u32 copy_loop_word = 8;          ///< tight LMB->BRAM word copy (preload)
   u32 xps_copy_loop_word = 27;     ///< cached xps_hwicap word loop (14.5 MB/s)
   u32 xps_unoptimized_word = 267;  ///< unoptimized xps loop (1.5 MB/s, §V)
-  u32 header_parse = 420;          ///< .bit preamble TLV parse
   u32 sector_setup = 180;          ///< SystemACE sector command setup
   u32 irq_entry = 60;              ///< interrupt entry/exit (non-active-wait)
   u32 poll_iteration = 6;          ///< one Finish-poll spin iteration

@@ -1,6 +1,5 @@
 #include "manager/preloader.hpp"
 
-#include "bitstream/header.hpp"
 #include "obs/trace.hpp"
 
 namespace uparc::manager {
@@ -11,8 +10,8 @@ Preloader::Preloader(sim::Simulation& sim, std::string name, MicroBlaze& manager
   sim_.topology().declare_state_ref(this, &bram_, "bitstream BRAM");
 }
 
-Status Preloader::store_impl(bool compressed, WordsView payload, u64 extra_cycles,
-                             i64 cycles_override, std::function<void()> done) {
+Status Preloader::store(bool compressed, WordsView payload, i64 cycles_override,
+                        std::function<void()> done) {
   if (payload.size() > BramLayout::kWordCountMask) {
     return make_error("payload too large for the mode word's length field",
                       ErrorCause::kCapacity);
@@ -36,10 +35,9 @@ Status Preloader::store_impl(bool compressed, WordsView payload, u64 extra_cycle
   bram_.write_word(0, BramLayout::make_header(compressed, static_cast<u32>(payload.size())));
   bram_.load_words(payload.first(copied), 1);
 
-  const u64 cycles =
-      cycles_override >= 0
-          ? extra_cycles + static_cast<u64>(cycles_override)
-          : extra_cycles + static_cast<u64>(copied + 1) * manager_.costs().copy_loop_word;
+  const u64 cycles = cycles_override >= 0
+                         ? static_cast<u64>(cycles_override)
+                         : static_cast<u64>(copied + 1) * manager_.costs().copy_loop_word;
   last_duration_ = manager_.cycles(cycles);
   ++preloads_;
   // Post-truncation accounting reports what actually landed; the advertised
@@ -69,36 +67,21 @@ Status Preloader::store_impl(bool compressed, WordsView payload, u64 extra_cycle
   return Status::success();
 }
 
-Status Preloader::store(bool compressed, WordsView payload, u64 extra_cycles,
-                        std::function<void()> done) {
-  return store_impl(compressed, payload, extra_cycles, -1, std::move(done));
-}
-
 Status Preloader::preload_cached(bool compressed, WordsView payload, u64 copy_cycles,
                                  std::function<void()> done) {
-  Status st = store_impl(compressed, payload, 0, static_cast<i64>(copy_cycles),
-                         std::move(done));
+  Status st = store(compressed, payload, static_cast<i64>(copy_cycles), std::move(done));
   if (st.ok()) {
     metrics().counter(name() + ".cached_preloads").add();
   }
   return st;
 }
 
-Status Preloader::preload_file(BytesView bit_file, std::function<void()> done) {
-  auto parsed = bits::parse_header(bit_file);
-  if (!parsed.ok()) return parsed.error();
-  const auto& ph = parsed.value();
-  if (ph.header.body_bytes % 4 != 0) return make_error("bitstream body not word aligned");
-  Words body = bytes_to_words(bit_file.subspan(ph.body_offset, ph.header.body_bytes));
-  return store(false, body, manager_.costs().header_parse, std::move(done));
-}
-
 Status Preloader::preload_body(WordsView body, std::function<void()> done) {
-  return store(false, body, 0, std::move(done));
+  return store(false, body, -1, std::move(done));
 }
 
 Status Preloader::preload_compressed(BytesView container, std::function<void()> done) {
-  return store(true, bytes_to_words(container), 0, std::move(done));
+  return store(true, bytes_to_words(container), -1, std::move(done));
 }
 
 }  // namespace uparc::manager

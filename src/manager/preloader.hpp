@@ -40,12 +40,10 @@ class Preloader : public sim::Module {
  public:
   Preloader(sim::Simulation& sim, std::string name, MicroBlaze& manager, mem::Bram& bram);
 
-  /// Parses a .bit file image and preloads its body uncompressed. Fails if
-  /// the body (plus header word) does not fit the BRAM. `done` fires when
-  /// the copy completes; the Status reports immediate (pre-copy) errors.
-  [[nodiscard]] Status preload_file(BytesView bit_file, std::function<void()> done);
-
-  /// Preloads an already-parsed body uncompressed.
+  /// Preloads a parsed body (bits::parse_file reads a .bit file)
+  /// uncompressed. Fails if the body (plus header word) does not fit the
+  /// BRAM. `done` fires when the copy completes; the Status reports
+  /// immediate (pre-copy) errors.
   [[nodiscard]] Status preload_body(WordsView body, std::function<void()> done);
 
   /// Preloads a compressed container (produced offline). The container is
@@ -76,12 +74,10 @@ class Preloader : public sim::Module {
   void set_truncate_tap(TruncateTap tap) { truncate_tap_ = std::move(tap); }
 
  private:
-  [[nodiscard]] Status store(bool compressed, WordsView payload, u64 extra_cycles,
-                             std::function<void()> done);
   /// Shared store path. When `cycles_override` is non-negative it replaces
   /// the per-word copy-loop charge (cache-served tiers).
-  [[nodiscard]] Status store_impl(bool compressed, WordsView payload, u64 extra_cycles,
-                                  i64 cycles_override, std::function<void()> done);
+  [[nodiscard]] Status store(bool compressed, WordsView payload, i64 cycles_override,
+                             std::function<void()> done);
 
   MicroBlaze& manager_;
   mem::Bram& bram_;

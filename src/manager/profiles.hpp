@@ -35,7 +35,6 @@ struct ManagerProfile {
   p.clock = Frequency::mhz(100);
   p.costs.control_launch = 8;      // Start pulse from a small FSM
   p.costs.copy_loop_word = 1;      // dedicated preload DMA: 1 word/cycle
-  p.costs.header_parse = 64;       // hardwired TLV parser
   p.costs.sector_setup = 180;      // storage interface unchanged
   p.costs.irq_entry = 4;
   p.costs.poll_iteration = 1;

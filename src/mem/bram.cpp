@@ -46,6 +46,4 @@ void Bram::load_words(WordsView data, std::size_t word_offset) {
   writes_ += data.size();
 }
 
-void Bram::clear() { words_.assign(words_.size(), 0); }
-
 }  // namespace uparc::mem

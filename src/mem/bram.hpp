@@ -39,9 +39,6 @@ class Bram : public sim::Module {
   /// Bulk word preload starting at `word_offset`.
   void load_words(WordsView data, std::size_t word_offset = 0);
 
-  /// Fills the whole array with zeros.
-  void clear();
-
   /// Fault hook on port B: every read_word() result passes through the tap
   /// (word address, stored value) -> observed value. The stored array is
   /// untouched — the tap models a read-path upset, not a write.

@@ -14,10 +14,6 @@ Ddr2::Ddr2(sim::Simulation& sim, std::string name, std::size_t size_bytes, Ddr2T
   words_.assign(size_bytes / 4, 0);
 }
 
-void Ddr2::load(BytesView data, std::size_t word_offset) {
-  load_words(bytes_to_words(data), word_offset);
-}
-
 void Ddr2::load_words(WordsView data, std::size_t word_offset) {
   if (word_offset + data.size() > words_.size()) {
     throw std::out_of_range("Ddr2 load overflows memory: " + name());

@@ -34,7 +34,6 @@ class Ddr2 : public sim::Module {
   [[nodiscard]] const Ddr2Timing& timing() const noexcept { return timing_; }
 
   /// Host-side load (e.g. bitstream copied from CF at boot).
-  void load(BytesView data, std::size_t word_offset = 0);
   void load_words(WordsView data, std::size_t word_offset = 0);
 
   /// Reads up to `count` sequential words starting at `word_addr` into `out`,

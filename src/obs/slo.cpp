@@ -363,14 +363,4 @@ std::string SloEngine::render_json() const {
   return out;
 }
 
-std::string SloEngine::render_text() const {
-  std::string out;
-  for (const AlertEvent& a : alerts_) {
-    out += "[" + fmt_us(a.t) + " us] " + (a.firing ? "FIRING  " : "resolved") + " " + a.objective +
-           " fast=" + fmt_double(a.fast_burn) + " slow=" + fmt_double(a.slow_burn) +
-           " value=" + fmt_double(a.value) + "\n";
-  }
-  return out;
-}
-
 }  // namespace uparc::obs

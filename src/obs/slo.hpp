@@ -128,8 +128,6 @@ class SloEngine {
 
   /// {"policy":{...},"objectives":[...],"alerts":[...]} — deterministic.
   [[nodiscard]] std::string render_json() const;
-  /// One line per alert transition, for logs and soak summaries.
-  [[nodiscard]] std::string render_text() const;
 
  private:
   struct State {

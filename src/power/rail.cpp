@@ -49,8 +49,6 @@ double Rail::energy_uj(TimePs t0, TimePs t1) const {
   return uj;
 }
 
-double Rail::energy_uj_to_now() const { return energy_uj(TimePs(0), sim_.now()); }
-
 double Rail::peak_mw(TimePs t0, TimePs t1) const {
   double peak = 0.0;
   for (std::size_t i = 0; i < steps_.size(); ++i) {

@@ -37,8 +37,6 @@ class Rail : public sim::Module {
 
   /// Energy in microjoules integrated over [t0, t1].
   [[nodiscard]] double energy_uj(TimePs t0, TimePs t1) const;
-  /// Energy from time zero to the current simulated time.
-  [[nodiscard]] double energy_uj_to_now() const;
 
   /// Peak power seen in [t0, t1].
   [[nodiscard]] double peak_mw(TimePs t0, TimePs t1) const;

@@ -16,18 +16,13 @@ Status ModuleLibrary::add_module(const std::string& name, const bits::PartialBit
 
   auto file = codec_->decompress(compressed);
   if (!file.ok()) return file.error();
-  auto header = bits::parse_header(file.value());
-  if (!header.ok()) return header.error();
-  const auto& ph = header.value();
-  bits::PartialBitstream stored;
-  stored.header = ph.header;
-  stored.body = bytes_to_words(
-      BytesView(file.value()).subspan(ph.body_offset, stored.header.body_bytes));
-  const std::optional<bits::Device> device = bits::identify_device(stored.body);
-  if (!device) return make_error("stored module '" + name + "' has an unrecognizable device");
-  auto parsed = bits::parse_body(*device, stored.body);
-  if (!parsed.ok()) return parsed.error();
-  stored.frames = std::move(parsed.value().frames);
+  auto parsed = bits::parse_file(file.value());
+  if (!parsed.ok()) {
+    return make_error("stored module '" + name + "' does not decode: " +
+                          parsed.error().message,
+                      parsed.error().cause);
+  }
+  bits::PartialBitstream stored = std::move(parsed.value().bitstream);
 
   std::vector<u32> crcs = bits::frame_data_crcs(stored.frames);
   modules_.emplace(name, Module{compressed.size(), std::move(stored), std::move(crcs), {}});

@@ -18,13 +18,6 @@ std::string RegionManager::occupant(const std::string& region_name) const {
   return r == nullptr ? "" : r->occupant;
 }
 
-Status RegionManager::evict(const std::string& region_name) {
-  Region* r = floorplan_.find(region_name);
-  if (r == nullptr) return make_error("unknown region: " + region_name);
-  r->occupant.clear();
-  return Status::success();
-}
-
 void RegionManager::load(const std::string& module, const std::string& region_name,
                          LoadCallback done) {
   queue_.push_back(PendingLoad{module, region_name, sim_.now(), std::move(done)});

@@ -71,10 +71,6 @@ class RegionManager : public sim::Module {
   void set_transaction_manager(txn::TxnManager* txn);
   [[nodiscard]] txn::TxnManager* transaction_manager() const noexcept { return txn_; }
 
-  /// Marks a region blank (bookkeeping only; the fabric keeps the old
-  /// configuration until something overwrites it, as in real hardware).
-  [[nodiscard]] Status evict(const std::string& region_name);
-
   [[nodiscard]] const Floorplan& floorplan() const noexcept { return floorplan_; }
   [[nodiscard]] const ModuleLibrary& library() const noexcept { return library_; }
   /// Occupant module of a region ("" if blank / unknown region).

@@ -7,8 +7,8 @@
 // Given a Schedule, the analyzer places each activation's BRAM preload as
 // late as possible inside the region's busy/idle timeline and reports how
 // much of it hides under compute — and what the serial (no-prefetch)
-// timeline would have cost instead. The runtime counterpart that turns these
-// slots into actual speculative preloads lives in cache/prefetch_engine.hpp.
+// timeline would have cost instead. bench/ablation_prefetch reports it; no
+// runtime component issues these preloads.
 #pragma once
 
 #include "sched/scheduler.hpp"

@@ -18,12 +18,6 @@ bool TokenBucket::try_take(TimePs now) {
   return true;
 }
 
-double TokenBucket::tokens(TimePs now) const {
-  if (now <= last_) return tokens_;
-  const double dt_sec = static_cast<double>((now - last_).ps()) * 1e-12;
-  return std::min(burst_, tokens_ + rate_ * dt_sec);
-}
-
 AdmissionController::AdmissionController(const std::vector<TenantSpec>& tenants,
                                          obs::Registry& metrics)
     : metrics_(metrics) {

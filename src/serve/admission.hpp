@@ -26,7 +26,6 @@ class TokenBucket {
 
   /// Takes one token if available at simulated time `now`.
   [[nodiscard]] bool try_take(TimePs now);
-  [[nodiscard]] double tokens(TimePs now) const;
 
  private:
   void refill(TimePs now);

@@ -13,14 +13,7 @@ Clock::~Clock() { sim_.topology().remove_clock(this); }
 
 void Clock::set_frequency(Frequency f) { freq_ = f; }
 
-Clock::SubscriptionId Clock::on_rising(Handler h) {
-  handlers_.emplace_back(next_id_, std::move(h));
-  return next_id_++;
-}
-
-void Clock::unsubscribe(SubscriptionId id) {
-  std::erase_if(handlers_, [id](const auto& p) { return p.first == id; });
-}
+void Clock::on_rising(Handler h) { handlers_.push_back(std::move(h)); }
 
 void Clock::enable() {
   if (enabled_) return;
@@ -89,11 +82,10 @@ void Clock::tick() {
   for (;;) {
     ++cycles_;
     // Index-based iteration so handlers may subscribe or disable the clock
-    // mid-edge without invalidating the loop. Unsubscribing from inside a
-    // handler of the same clock is not supported (see header).
+    // mid-edge without invalidating the loop.
     for (std::size_t i = 0; i < handlers_.size(); ++i) {
       if (!running_) break;
-      handlers_[i].second();
+      handlers_[i]();
     }
     // Deliver the next edge in this same event when nothing else can run
     // before it; the kernel re-checks the queue, so events the handlers

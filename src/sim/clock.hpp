@@ -27,7 +27,6 @@ namespace uparc::sim {
 class Clock {
  public:
   using Handler = std::function<void()>;
-  using SubscriptionId = std::size_t;
 
   Clock(Simulation& sim, std::string name, Frequency f);
   ~Clock();
@@ -43,11 +42,10 @@ class Clock {
   /// (matches DCM output behaviour where the current cycle completes).
   void set_frequency(Frequency f);
 
-  /// Registers a rising-edge handler. Handlers run in subscription order.
-  /// A handler may disable the clock or add subscribers mid-edge, but must
-  /// not call unsubscribe() from inside a tick of the same clock.
-  SubscriptionId on_rising(Handler h);
-  void unsubscribe(SubscriptionId id);
+  /// Registers a rising-edge handler for the clock's lifetime. Handlers run
+  /// in subscription order; a handler may disable the clock or add
+  /// subscribers mid-edge.
+  void on_rising(Handler h);
   /// Currently registered rising-edge handlers (model-lint introspection).
   [[nodiscard]] std::size_t subscriber_count() const noexcept { return handlers_.size(); }
 
@@ -96,8 +94,7 @@ class Clock {
   u64 cycles_ = 0;
   TimePs active_accum_{};
   TimePs enabled_since_{};
-  std::vector<std::pair<SubscriptionId, Handler>> handlers_;
-  SubscriptionId next_id_ = 1;
+  std::vector<Handler> handlers_;
 };
 
 }  // namespace uparc::sim

@@ -54,25 +54,6 @@ const TxnRecord* Journal::find(u64 id) const {
   return &records_[id - 1];
 }
 
-std::string Journal::render_text() const {
-  std::ostringstream out;
-  for (const TxnRecord& rec : records_) {
-    out << "txn " << rec.id << "  " << rec.module << " -> " << rec.region << "  [";
-    for (std::size_t i = 0; i < rec.events.size(); ++i) {
-      if (i != 0) out << " ";
-      out << to_string(rec.events[i].phase);
-    }
-    out << "]";
-    if (rec.terminal()) {
-      out << "  " << (rec.closed_at - rec.opened_at).us() << " us";
-    } else {
-      out << "  OPEN";
-    }
-    out << "\n";
-  }
-  return out.str();
-}
-
 std::string Journal::render_json() const {
   std::ostringstream out;
   out << "{\n  \"transactions\": [";

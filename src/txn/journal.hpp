@@ -85,8 +85,6 @@ class Journal {
   [[nodiscard]] std::size_t open_count() const noexcept { return open_; }
   [[nodiscard]] bool all_terminal() const noexcept { return open_ == 0; }
 
-  /// One line per transaction: id, region, module, phase trail, duration.
-  [[nodiscard]] std::string render_text() const;
   /// Array of records with full event trails (CI artifact format).
   [[nodiscard]] std::string render_json() const;
 

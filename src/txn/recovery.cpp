@@ -101,23 +101,6 @@ std::string RecoveryReport::render_json() const {
   return os.str();
 }
 
-std::string RecoveryReport::summary() const {
-  unsigned adopted = 0, reprogrammed = 0, aborted = 0;
-  for (const RegionRecovery& r : regions) {
-    if (r.action == RecoveryAction::kAdopt) ++adopted;
-    if (r.action == RecoveryAction::kReprogram || r.action == RecoveryAction::kAbortReprogram) {
-      ++reprogrammed;
-    }
-    if (r.klass == RegionClass::kInFlight) ++aborted;
-  }
-  std::ostringstream os;
-  os << "recovery: " << records_scanned << " records (tail " << to_string(tail) << "), "
-     << regions.size() << " regions, " << adopted << " adopted, " << reprogrammed
-     << " reprogrammed, " << aborted << " in-flight aborted";
-  if (!errors.empty()) os << ", " << errors.size() << " errors";
-  return os.str();
-}
-
 RecoveryCoordinator::RecoveryCoordinator(core::System& system, TxnManager& txn)
     : system_(system),
       sim_(system.sim()),

@@ -105,8 +105,6 @@ struct RecoveryReport {
   [[nodiscard]] const RegionRecovery* find(const std::string& region) const;
   /// Deterministic artifact for the crash determinism gate.
   [[nodiscard]] std::string render_json() const;
-  /// "recovered 3 regions (2 adopted, 1 reprogrammed), tail torn" style.
-  [[nodiscard]] std::string summary() const;
 };
 
 class RecoveryCoordinator {

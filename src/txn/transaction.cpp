@@ -141,6 +141,11 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
         uparc_.config().device, win->second.front(), win->second.size()));
     image_ = blank_;
   }
+  open_txn(std::move(done), /*recovery=*/true);
+  rollback_round("crash recovery: presumed abort");
+}
+
+void TxnManager::open_txn(TxnCallback done, bool recovery) {
   done_ = std::move(done);
   out_ = TxnOutcome{};
   out_.region = region_;
@@ -149,11 +154,15 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
   txn_id_ = journal_.begin(region_, module_);
   out_.txn_id = txn_id_;
 
-  metrics().counter(name() + ".recoveries").add();
+  metrics().counter(name() + (recovery ? ".recoveries" : ".txns")).add();
   if (wal_ != nullptr) {
+    // Journal intent and the image's golden signature before any plane
+    // action: a crash from here on can always be reconciled by readback
+    // against this record.
     std::ostringstream os;
     os << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
-       << "\",\"module\":\"" << obs::json_escape(module_) << "\",\"recovery\":true}";
+       << "\",\"module\":\"" << obs::json_escape(module_) << "\""
+       << (recovery ? ",\"recovery\":true" : "") << "}";
     wal_->append(WalRecordType::kTxnBegin, os.str());
     std::ostringstream gs;
     gs << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
@@ -162,11 +171,10 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
     wal_->append(WalRecordType::kGolden, gs.str());
   }
   if (obs::Tracer* tr = tracer()) {
-    txn_span_ = tr->begin("txn.recover", "txn");
+    txn_span_ = tr->begin(recovery ? "txn.recover" : "txn.run", "txn");
     tr->arg(txn_span_, "region", region_);
     tr->arg(txn_span_, "module", module_);
   }
-  rollback_round("crash recovery: presumed abort");
 }
 
 bits::PartialBitstream TxnManager::make_blank_bitstream(const bits::Device& device,
@@ -220,38 +228,10 @@ void TxnManager::execute(const std::string& region, const std::string& module,
   module_ = module;
   image_ = std::move(image);
   blank_.reset();
-  done_ = std::move(done);
-  out_ = TxnOutcome{};
-  out_.region = region;
-  out_.module = module;
-  out_.start = sim_.now();
-  txn_id_ = journal_.begin(region, module);
-  out_.txn_id = txn_id_;
-
   // The image covers the whole region window; remember it so a later blank
   // rollback (and the consistency invariant) knows the region's extent.
   windows_[region_] = image_->signature().addresses();
-
-  metrics().counter(name() + ".txns").add();
-  if (wal_ != nullptr) {
-    // Journal intent and the staged image's golden signature before any
-    // plane action: a crash from here on can always be reconciled by
-    // readback against this record.
-    std::ostringstream os;
-    os << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
-       << "\",\"module\":\"" << obs::json_escape(module_) << "\"}";
-    wal_->append(WalRecordType::kTxnBegin, os.str());
-    std::ostringstream gs;
-    gs << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
-       << "\",\"module\":\"" << obs::json_escape(module_)
-       << "\",\"frames\":" << golden_frames_json(*image_) << "}";
-    wal_->append(WalRecordType::kGolden, gs.str());
-  }
-  if (obs::Tracer* tr = tracer()) {
-    txn_span_ = tr->begin("txn.run", "txn");
-    tr->arg(txn_span_, "region", region_);
-    tr->arg(txn_span_, "module", module_);
-  }
+  open_txn(std::move(done), /*recovery=*/false);
   start_forward();
 }
 

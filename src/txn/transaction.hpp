@@ -169,6 +169,10 @@ class TxnManager : public sim::Module {
  private:
   enum class VerifyTarget { kCommit, kLastGood, kBlank };
 
+  /// Opens a transaction for region_/module_ over image_: the outcome
+  /// header, the journal record, the txn-begin + golden WAL pair and the
+  /// span. A recovery is marked in the WAL and counted and traced apart.
+  void open_txn(TxnCallback done, bool recovery);
   void wal_phase(TxnPhase phase, const std::string& note = "");
   void wal_health();
   void start_forward();

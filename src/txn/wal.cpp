@@ -88,61 +88,6 @@ void MemWalStorage::flip_bit(std::size_t byte, unsigned bit) {
 
 void MemWalStorage::reset(BytesView bytes) { buf_.assign(bytes.begin(), bytes.end()); }
 
-FileWalStorage::FileWalStorage(std::string path) : path_(std::move(path)) {
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f != nullptr) {
-    std::fseek(f, 0, SEEK_END);
-    const long n = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (n > 0) {
-      buf_.resize(static_cast<std::size_t>(n));
-      if (std::fread(buf_.data(), 1, buf_.size(), f) != buf_.size()) buf_.clear();
-    }
-    std::fclose(f);
-  }
-}
-
-void FileWalStorage::rewrite() const {
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) throw std::runtime_error("wal: cannot write " + path_);
-  if (!buf_.empty() && std::fwrite(buf_.data(), 1, buf_.size(), f) != buf_.size()) {
-    std::fclose(f);
-    throw std::runtime_error("wal: short write to " + path_);
-  }
-  std::fclose(f);
-}
-
-void FileWalStorage::append(BytesView bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  if (f == nullptr) throw std::runtime_error("wal: cannot append " + path_);
-  if (!bytes.empty() && std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    throw std::runtime_error("wal: short append to " + path_);
-  }
-  std::fflush(f);
-  std::fclose(f);
-}
-
-void FileWalStorage::truncate(std::size_t new_size) {
-  if (new_size < buf_.size()) {
-    buf_.resize(new_size);
-    rewrite();
-  }
-}
-
-void FileWalStorage::flip_bit(std::size_t byte, unsigned bit) {
-  if (byte < buf_.size()) {
-    buf_[byte] ^= static_cast<u8>(1u << (bit & 7));
-    rewrite();
-  }
-}
-
-void FileWalStorage::reset(BytesView bytes) {
-  buf_.assign(bytes.begin(), bytes.end());
-  rewrite();
-}
-
 // -------------------------------------------------------------------- Wal
 
 Wal::Wal(sim::Simulation& sim, std::string name, WalStorage& storage, WalPolicy policy)

@@ -20,9 +20,8 @@
 //   u8  payload[payload_len]      │ compact JSON (self-describing)
 //   u32 crc32                    ─┘ over seq..payload
 //
-// The storage device is pluggable: MemWalStorage models an on-card flash /
-// NVRAM slice (synchronous-durable, with a setup+bandwidth write-latency
-// account), FileWalStorage persists to a host file for the CLI tooling.
+// The storage device is MemWalStorage, an on-card flash / NVRAM slice
+// (synchronous-durable, with a setup+bandwidth write-latency account).
 // Segment rotation: once `segment_records` records accumulate past the last
 // checkpoint, the Wal asks its checkpoint source for a full-state snapshot,
 // writes it as a kCheckpoint record and compacts — everything before the
@@ -135,29 +134,6 @@ class MemWalStorage final : public WalStorage {
   Bytes buf_;
   u64 appends_ = 0;
   double total_write_us_ = 0.0;
-};
-
-/// Host-file backend for the CLI tooling (`uparc_cli wal`). The file is
-/// mirrored in memory (loaded on construction if it exists) and rewritten
-/// on truncate/flip/reset; appends go straight through with a flush.
-class FileWalStorage final : public WalStorage {
- public:
-  explicit FileWalStorage(std::string path);
-
-  void append(BytesView bytes) override;
-  void truncate(std::size_t new_size) override;
-  void flip_bit(std::size_t byte, unsigned bit) override;
-  void reset(BytesView bytes) override;
-  [[nodiscard]] std::size_t size() const override { return buf_.size(); }
-  [[nodiscard]] Bytes read_all() const override { return buf_; }
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  void rewrite() const;
-
-  std::string path_;
-  Bytes buf_;
 };
 
 /// One decoded record from a WAL scan.

@@ -4,6 +4,8 @@
 // the Manager's lint_gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/bitstream_lint.hpp"
 #include "analysis/model_lint.hpp"
 #include "bitstream/generator.hpp"
@@ -139,14 +141,23 @@ TEST(BitstreamLint, OrphanType2IsAnError) {
   EXPECT_EQ(d->location.offset, at);
 }
 
-/// parse_body and relocate_body walk the same packet reader as the linter:
-/// a body with a structural defect must fail both.
+/// parse_body and relocate walk the same packet reader as the linter: a
+/// body with a structural defect must fail both, on that defect. relocate
+/// takes its device from the first IDCODE write, so one goes in right
+/// after the SYNC word, ahead of the defect.
 void expect_parse_and_relocate_reject(const Words& body) {
   auto parsed = bits::parse_body(bits::kVirtex5Sx50t, body);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.error().cause, ErrorCause::kBadInput);
-  EXPECT_FALSE(
-      bits::relocate_body(bits::kVirtex5Sx50t, body, bits::FrameAddress{0, 0, 1, 1, 0}).ok());
+  bits::PartialBitstream bs;
+  bs.body = body;
+  const auto sync = std::find(bs.body.begin(), bs.body.end(), bits::kSyncWord);
+  ASSERT_NE(sync, bs.body.end());
+  bs.body.insert(sync + 1, {bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kIdcode, 1),
+                            bits::kVirtex5Sx50t.idcode});
+  auto moved = bits::relocate(bs, bits::FrameAddress{0, 0, 1, 1, 0});
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.error().message, "relocate: " + parsed.error().message);
 }
 
 TEST(BitstreamLint, UnknownPacketTypeNamesRuleAndOffset) {

@@ -307,10 +307,12 @@ TEST(Writer, FileRoundTrip) {
   PartialBitstream bs = Generator(cfg).generate();
   Bytes file = to_file(bs);
 
-  auto parsed = parse_file(kVirtex5Sx50t, file);
+  auto parsed = parse_file(file);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().header.design_name, "roundtrip");
-  EXPECT_EQ(parsed.value().body.frames.size(), bs.frames.size());
+  EXPECT_EQ(parsed.value().device, kVirtex5Sx50t);
+  EXPECT_EQ(parsed.value().bitstream.header.design_name, "roundtrip");
+  EXPECT_EQ(parsed.value().bitstream.body, bs.body);
+  EXPECT_EQ(parsed.value().bitstream.frames.size(), bs.frames.size());
   EXPECT_TRUE(parsed.value().body.crc_ok);
 }
 

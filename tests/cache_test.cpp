@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/bitstream_cache.hpp"
-#include "cache/prefetch_engine.hpp"
 #include "core/system.hpp"
 #include "fault/injector.hpp"
 #include "manager/preloader.hpp"
@@ -341,102 +340,20 @@ TEST(TxnCacheTest, RollbackNeverLeavesThePoisonedImageCached) {
   EXPECT_FALSE(sys.cache()->contains(key_of(image)));
 }
 
-// ----- prefetch engine ------------------------------------------------------
+// ----- staging epoch --------------------------------------------------------
 
-TEST(PrefetchEngineTest, SpeculativeStageScoresAsHit) {
+TEST(SystemCacheTest, RestageMidDmaKeepsTheLaterImage) {
   core::System sys(cached_config());
-  auto image = make_bs(16_KiB, 17);
+  auto first = make_bs(16_KiB, 20);
+  auto second = make_bs(16_KiB, 21);
 
-  sched::TaskSet set;
-  auto t = set.add_task({"m", 16 * 1024, TimePs::from_us(100)});
-  set.add_activation({t, TimePs(0), TimePs::from_ms(10)});
-  sched::Schedule schedule;
-  sched::ScheduledSlot slot;
-  slot.activation = set.activations()[0];
-  slot.reconfig_start = TimePs::from_ms(1);
-  slot.reconfig_end = TimePs::from_us(1200);
-  schedule.slots.push_back(slot);
-
-  PrefetchEngine engine(sys.sim(), "prefetch", sys.uparc());
-  engine.arm(set, schedule, {image});
-  EXPECT_EQ(engine.armed(), 1u);
-  sys.sim().run();
-  EXPECT_EQ(engine.issued(), 1u);
-
-  // The demand stage finds its predicted image already resident.
-  ASSERT_TRUE(sys.stage(image).ok());
-  EXPECT_EQ(sys.uparc().last_stage_tier(), CacheTier::kResident);
-  EXPECT_EQ(sys.uparc().prefetch_hits(), 1u);
-  EXPECT_DOUBLE_EQ(engine.accuracy(), 1.0);
+  // The second stage arrives while the first copy is still on the manager
+  // bus: the staging epoch drops the first copy's completion, and the
+  // second image is the one programmed.
+  ASSERT_TRUE(sys.stage(first).ok());
+  ASSERT_TRUE(sys.stage(second).ok());
   ASSERT_TRUE(sys.reconfigure_blocking().success);
-}
-
-TEST(PrefetchEngineTest, WrongPredictionScoresAsMispredict) {
-  core::System sys(cached_config());
-  auto predicted = make_bs(16_KiB, 18);
-  auto actual = make_bs(16_KiB, 19);
-
-  ASSERT_TRUE(sys.uparc().stage_speculative(predicted).ok());
-  sys.sim().run();  // speculation lands
-  ASSERT_TRUE(sys.stage(actual).ok());
-  EXPECT_EQ(sys.uparc().prefetch_mispredicts(), 1u);
-  EXPECT_EQ(sys.uparc().prefetch_hits(), 0u);
-  ASSERT_TRUE(sys.reconfigure_blocking().success);
-}
-
-TEST(PrefetchEngineTest, DemandStageMidDmaCountsOverwritten) {
-  core::System sys(cached_config());
-  auto predicted = make_bs(16_KiB, 20);
-  auto actual = make_bs(16_KiB, 21);
-
-  // Demand arrives while the speculative copy is still on the manager bus:
-  // the epoch guard drops the speculation's completion and the demand image
-  // wins — counted, because every such event wasted preload bandwidth.
-  ASSERT_TRUE(sys.uparc().stage_speculative(predicted).ok());
-  ASSERT_TRUE(sys.stage(actual).ok());
-  EXPECT_EQ(sys.uparc().prefetch_overwritten(), 1u);
-  ASSERT_TRUE(sys.reconfigure_blocking().success);
-
-  // The demand image is the one in the window.
-  EXPECT_TRUE(sys.plane().contains(actual.frames));
-}
-
-TEST(PrefetchEngineTest, SpeculationRefusedWhileDemandInFlight) {
-  core::System sys(cached_config());
-  auto demand = make_bs(16_KiB, 22);
-  auto spec = make_bs(16_KiB, 23);
-
-  ASSERT_TRUE(sys.stage(demand).ok());  // copy in flight
-  auto st = sys.uparc().stage_speculative(spec);
-  EXPECT_FALSE(st.ok());
-  sys.sim().run();
-  ASSERT_TRUE(sys.reconfigure_blocking().success);
-  EXPECT_TRUE(sys.plane().contains(demand.frames));
-}
-
-TEST(PrefetchEngineTest, EngineSuppressesSlotInsteadOfDisturbingDemand) {
-  core::System sys(cached_config());
-  auto demand = make_bs(16_KiB, 24);
-  auto spec = make_bs(16_KiB, 25);
-
-  sched::TaskSet set;
-  auto t = set.add_task({"m", 16 * 1024, TimePs::from_us(100)});
-  set.add_activation({t, TimePs(0), TimePs::from_ms(10)});
-  sched::Schedule schedule;
-  sched::ScheduledSlot slot;
-  slot.activation = set.activations()[0];
-  slot.reconfig_start = TimePs::from_us(1);  // window too small: fires at t=0
-  slot.reconfig_end = TimePs::from_us(300);
-  schedule.slots.push_back(slot);
-
-  ASSERT_TRUE(sys.stage(demand).ok());  // demand copy occupies the manager
-  PrefetchEngine engine(sys.sim(), "prefetch", sys.uparc());
-  engine.arm(set, schedule, {spec});
-  sys.sim().run();
-  EXPECT_EQ(engine.suppressed(), 1u);
-  EXPECT_EQ(engine.issued(), 0u);
-  ASSERT_TRUE(sys.reconfigure_blocking().success);
-  EXPECT_TRUE(sys.plane().contains(demand.frames));
+  EXPECT_TRUE(sys.plane().contains(second.frames));
 }
 
 // ----- bugfix regressions ---------------------------------------------------

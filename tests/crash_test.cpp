@@ -80,7 +80,7 @@ TEST(RecoveryTest, EmptyWalRecoversToCleanStateAndSealsNewEpoch) {
   const Bytes empty;
   const RecoveryReport report = coordinator.recover(empty, resolver, &new_wal);
 
-  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_TRUE(report.ok()) << report.render_json();
   EXPECT_EQ(report.records_scanned, 0u);
   EXPECT_EQ(report.tail, WalTailState::kClean);
   EXPECT_TRUE(report.regions.empty());
@@ -129,7 +129,7 @@ TEST(RecoveryTest, ReprogramsCommittedRegionOntoBlankFabric) {
       RecoveryCoordinator::library_resolver(modules.library, b.manager.floorplan()),
       &*b.wal);
 
-  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_TRUE(report.ok()) << report.render_json();
   const RegionRecovery* r0 = report.find("r0");
   ASSERT_NE(r0, nullptr);
   EXPECT_EQ(r0->klass, RegionClass::kCommitted);
@@ -157,7 +157,7 @@ TEST(ControllerStackTest, RecoverFromAdoptsTheFabricAndContinuesTheLog) {
 
   ControllerStack fresh(modules, wal_stack(2));
   const RecoveryReport report = fresh.recover_from(dead);
-  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_TRUE(report.ok()) << report.render_json();
   ASSERT_EQ(report.regions.size(), 2u);
   for (const RegionRecovery& rr : report.regions) {
     EXPECT_EQ(rr.action, RecoveryAction::kAdopt) << rr.region;

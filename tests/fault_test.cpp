@@ -343,27 +343,26 @@ TEST(BaselineFaults, Ddr2ReadCorruptionFailsCleanly) {
   core::System sys;
   auto controller = sys.make_baseline("MST_ICAP");
   auto* mst = static_cast<ctrl::MstIcap*>(controller.get());
-  FaultPlan plan;
-  plan.seed = 13;
-  plan.arm(FaultSite::kDdr2Read, {.rate = 0.01});
-  fault::FaultInjector inj(sys.sim(), "inj", plan);
-  inj.arm_ddr2(mst->ddr());
+  u64 flips = 0;
+  mst->ddr().set_read_tap([&flips](std::size_t addr, u32 value) {
+    if (addr % 100 != 7) return value;
+    ++flips;
+    return value ^ 0x10u;
+  });
 
   auto r = sys.run_controller_blocking(*controller, make_bs(64_KiB));
   EXPECT_FALSE(r.success);
   EXPECT_NE(r.cause, ErrorCause::kNone);
-  EXPECT_GT(inj.fires(FaultSite::kDdr2Read), 0u);
+  EXPECT_GT(flips, 0u);
 }
 
 TEST(BaselineFaults, Ddr2StallsSlowTheRunButDoNotBreakIt) {
   auto run_once = [](bool with_stalls) {
     core::System sys;
     auto controller = sys.make_baseline("MST_ICAP");
-    FaultPlan plan;
-    plan.seed = 14;
-    if (with_stalls) plan.arm(FaultSite::kDdr2Stall, {.rate = 1.0, .param = 100});
-    fault::FaultInjector inj(sys.sim(), "inj", plan);
-    inj.arm_ddr2(static_cast<ctrl::MstIcap*>(controller.get())->ddr());
+    if (with_stalls) {
+      static_cast<ctrl::MstIcap*>(controller.get())->ddr().set_stall_tap([] { return 100u; });
+    }
     auto r = sys.run_controller_blocking(*controller, make_bs(64_KiB));
     EXPECT_TRUE(r.success);
     return r.duration();
@@ -379,11 +378,12 @@ TEST(BaselineFaults, CompactFlashSectorCorruptionFailsCleanly) {
 
   auto* xps = static_cast<ctrl::XpsHwicap*>(controller.get());
   ASSERT_NE(xps->card(), nullptr);
-  FaultPlan plan;
-  plan.seed = 15;
-  plan.arm(FaultSite::kCfSector, {.rate = 1.0});  // one flipped byte per sector
-  fault::FaultInjector inj(sys.sim(), "inj", plan);
-  inj.arm_compact_flash(*xps->card());
+  u64 flips = 0;
+  xps->card()->set_sector_tap([&flips](std::size_t, Bytes& sector) {
+    if (sector.empty()) return;
+    ++flips;
+    sector[sector.size() / 2] ^= 0x01;  // one flipped byte per sector
+  });
 
   std::optional<ctrl::ReconfigResult> got;
   controller->reconfigure([&](const ctrl::ReconfigResult& r) { got = r; });
@@ -391,7 +391,7 @@ TEST(BaselineFaults, CompactFlashSectorCorruptionFailsCleanly) {
   ASSERT_TRUE(got.has_value());
   EXPECT_FALSE(got->success);
   EXPECT_NE(got->cause, ErrorCause::kNone);
-  EXPECT_GT(inj.fires(FaultSite::kCfSector), 0u);
+  EXPECT_GT(flips, 0u);
 }
 
 }  // namespace

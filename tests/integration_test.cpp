@@ -28,13 +28,14 @@ TEST(Integration, FileToConfigPlaneThroughEveryLayer) {
   Bytes file = bits::to_file(bs);
 
   // Host-side sanity: the file parses to the same frames.
-  auto parsed = bits::parse_file(bits::kVirtex5Sx50t, file);
+  auto parsed = bits::parse_file(file);
   ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed.value().body.frames.size(), bs.frames.size());
+  ASSERT_EQ(parsed.value().bitstream.frames.size(), bs.frames.size());
 
   core::System sys;
   bool preloaded = false;
-  auto st = sys.uparc().preloader().preload_file(file, [&] { preloaded = true; });
+  auto st = sys.uparc().preloader().preload_body(parsed.value().bitstream.body,
+                                                 [&] { preloaded = true; });
   ASSERT_TRUE(st.ok()) << st.error().message;
   sys.sim().run();
   ASSERT_TRUE(preloaded);

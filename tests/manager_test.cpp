@@ -2,6 +2,7 @@
 // frequency adaptation.
 #include <gtest/gtest.h>
 
+#include "bitstream/parser.hpp"
 #include "bitstream/writer.hpp"
 #include "manager/adaptation.hpp"
 #include "manager/control.hpp"
@@ -58,9 +59,10 @@ TEST_F(PreloaderFixture, PreloadsBodyWithModeWord) {
 
 TEST_F(PreloaderFixture, PreloadsFullBitFile) {
   auto bs = make_bs(16_KiB);
-  Bytes file = bits::to_file(bs);
+  auto file = bits::parse_file(bits::to_file(bs));
+  ASSERT_TRUE(file.ok()) << file.error().message;
   bool done = false;
-  auto st = pre.preload_file(file, [&] { done = true; });
+  auto st = pre.preload_body(file.value().bitstream.body, [&] { done = true; });
   ASSERT_TRUE(st.ok());
   sim.run();
   EXPECT_TRUE(done);
@@ -76,7 +78,7 @@ TEST_F(PreloaderFixture, RejectsOversizedBody) {
 
 TEST_F(PreloaderFixture, RejectsCorruptFile) {
   Bytes junk(100, 0xAB);
-  EXPECT_FALSE(pre.preload_file(junk, [] {}).ok());
+  EXPECT_FALSE(bits::parse_file(junk).ok());
 }
 
 TEST_F(PreloaderFixture, CompressedContainerStoredVerbatim) {

@@ -13,7 +13,6 @@ TEST(Profiles, HardwareFsmIsCheaperEverywhere) {
   const ManagerProfile fsm = hardware_fsm_profile();
   EXPECT_LT(fsm.costs.control_launch, mb.costs.control_launch);
   EXPECT_LT(fsm.costs.copy_loop_word, mb.costs.copy_loop_word);
-  EXPECT_LT(fsm.costs.header_parse, mb.costs.header_parse);
   EXPECT_LT(fsm.control_burst_mw, mb.control_burst_mw);
   EXPECT_LT(fsm.active_wait_mw, mb.active_wait_mw);
   EXPECT_EQ(fsm.name, "hardware_fsm");

@@ -210,12 +210,5 @@ TEST_F(RegionManagerFixture, ErrorsReportedThroughCallback) {
   EXPECT_EQ(mgr->loads_failed(), 2u);
 }
 
-TEST_F(RegionManagerFixture, EvictClearsBookkeeping) {
-  ASSERT_TRUE(load_blocking("fft", "slot_a").success);
-  ASSERT_TRUE(mgr->evict("slot_a").ok());
-  EXPECT_EQ(mgr->occupant("slot_a"), "");
-  EXPECT_FALSE(mgr->evict("slot_z").ok());
-}
-
 }  // namespace
 }  // namespace uparc::region

@@ -102,8 +102,9 @@ TEST_P(ParserFuzz, MutatedBodiesParseOrFailCleanly) {
     EXPECT_EQ(structural, !parsed.ok()) << "trial " << trial << ":\n" << lint.render_text();
     // Relocation must fail cleanly or succeed, and never succeed on a body
     // the parser rejects.
-    auto moved =
-        bits::relocate_body(bits::kVirtex5Sx50t, mutated, bits::FrameAddress{0, 0, 1, 1, 0});
+    bits::PartialBitstream image;
+    image.body = mutated;
+    auto moved = bits::relocate(image, bits::FrameAddress{0, 0, 1, 1, 0});
     if (!parsed.ok()) {
       EXPECT_FALSE(moved.ok()) << "trial " << trial;
     }

@@ -81,9 +81,13 @@ TEST(Relocate, SameImageServesTwoRegions) {
 TEST(Relocate, RejectsBodiesWithoutFarOrCrc) {
   bits::PacketWriter pw;
   pw.prologue();
+  pw.write_reg(bits::ConfigReg::kIdcode, bits::kVirtex5Sx50t.idcode);
   pw.command(bits::Command::kDesync);
-  auto r = bits::relocate_body(bits::kVirtex5Sx50t, pw.words(), bits::FrameAddress{});
+  bits::PartialBitstream bs;
+  bs.body = pw.words();
+  auto r = bits::relocate(bs, bits::FrameAddress{});
   ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("no FAR write"), std::string::npos) << r.error().message;
 }
 
 TEST(Relocate, RoundTripBackToOriginalAddress) {

@@ -66,7 +66,7 @@ TEST(JournalTest, RecordsPhasesAndEnforcesTerminality) {
   const std::string json = j.render_json();
   EXPECT_NE(json.find("\"committed\""), std::string::npos);
   EXPECT_NE(json.find("\"fft\""), std::string::npos);
-  EXPECT_NE(j.render_text().find("r0"), std::string::npos);
+  EXPECT_NE(json.find("\"r0\""), std::string::npos);
 }
 
 TEST(HealthTest, QuarantineProbationAndRecovery) {

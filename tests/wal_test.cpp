@@ -136,25 +136,6 @@ TEST(WalTest, CrashDuringCheckpointPreservesThePriorEpoch) {
   EXPECT_EQ(scan.tail, WalTailState::kTorn);  // only the checkpoint tore
 }
 
-TEST(WalTest, FileStorageRoundTripsAcrossReopen) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "uparc_wal_test.wal").string();
-  std::remove(path.c_str());
-  {
-    sim::Simulation sim;
-    FileWalStorage store(path);
-    Wal wal(sim, "wal", store);
-    wal.append(WalRecordType::kTxnBegin, "{\"txn\":1,\"region\":\"r0\"}");
-    wal.append(WalRecordType::kGolden, "{\"txn\":1,\"frames\":[[1,2]]}");
-  }
-  FileWalStorage reopened(path);
-  const WalScan scan = scan_wal(reopened.read_all());
-  ASSERT_EQ(scan.records.size(), 2u);
-  EXPECT_EQ(scan.records[1].type, WalRecordType::kGolden);
-  EXPECT_EQ(scan.tail, WalTailState::kClean);
-  std::remove(path.c_str());
-}
-
 TEST(WalLintTest, FlagsSeqGapAndBackwardsClock) {
   const Bytes log = concat({Wal::encode_record(1, TimePs{100}, WalRecordType::kHealth, "{}"),
                             Wal::encode_record(3, TimePs{50}, WalRecordType::kHealth, "{}")});

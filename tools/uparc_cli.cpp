@@ -119,28 +119,13 @@ bits::Device device_from(const Args& a) {
   return a.get("device", "v5") == "v6" ? bits::kVirtex6Lx240t : bits::kVirtex5Sx50t;
 }
 
-/// Reads a .bit file and parses it as the device its first IDCODE write
-/// names. The parse, less the frames it hands to the result, lands in
-/// `parsed` when given.
-Result<bits::PartialBitstream> load_bitstream(const std::string& path, bits::Device& device,
-                                              bits::ParsedBody* parsed = nullptr) {
+/// Reads a .bit file through bits::parse_file.
+Result<bits::ParsedFile> load_bitstream(const std::string& path) {
   auto data = read_file(path);
   if (!data.ok()) return data.error();
-  const std::string unrecognized = "'" + path + "' is not a recognizable bitstream";
-  auto ph = bits::parse_header(data.value());
-  if (!ph.ok() || ph.value().header.body_bytes % 4 != 0) return make_error(unrecognized);
-  bits::PartialBitstream bs;
-  bs.header = ph.value().header;
-  bs.body = bytes_to_words(
-      BytesView(data.value()).subspan(ph.value().body_offset, bs.header.body_bytes));
-  const std::optional<bits::Device> d = bits::identify_device(bs.body);
-  if (!d) return make_error(unrecognized);
-  auto body = bits::parse_body(*d, bs.body);
-  if (!body.ok()) return make_error(unrecognized);
-  device = *d;
-  bs.frames = std::move(body.value().frames);
-  if (parsed != nullptr) *parsed = std::move(body).value();
-  return bs;
+  auto file = bits::parse_file(data.value());
+  if (!file.ok()) return make_error("'" + path + "' is not a recognizable bitstream");
+  return file;
 }
 
 int cmd_gen(const Args& a) {
@@ -173,15 +158,15 @@ int cmd_inspect(const Args& a) {
     std::fprintf(stderr, "inspect: need a .bit file\n");
     return 2;
   }
-  bits::Device device = bits::kVirtex5Sx50t;
-  bits::ParsedBody body;
-  auto bs = load_bitstream(a.positional[0], device, &body);
-  if (!bs.ok()) {
-    std::fprintf(stderr, "inspect: %s\n", bs.error().message.c_str());
+  auto file = load_bitstream(a.positional[0]);
+  if (!file.ok()) {
+    std::fprintf(stderr, "inspect: %s\n", file.error().message.c_str());
     return 1;
   }
-  const bits::BitstreamHeader& h = bs.value().header;
-  const std::vector<bits::Frame>& frames = bs.value().frames;
+  const bits::Device& device = file.value().device;
+  const bits::ParsedBody& body = file.value().body;
+  const bits::BitstreamHeader& h = file.value().bitstream.header;
+  const std::vector<bits::Frame>& frames = file.value().bitstream.frames;
   std::printf("design:    %s\n", h.design_name.c_str());
   std::printf("part:      %s (%s)\n", h.part_name.c_str(), std::string(device.name).c_str());
   std::printf("date/time: %s %s\n", h.date.c_str(), h.time.c_str());
@@ -255,12 +240,13 @@ int cmd_run(const Args& a) {
     std::fprintf(stderr, "run: need a .bit file\n");
     return 2;
   }
-  bits::Device device = bits::kVirtex5Sx50t;
-  auto bs = load_bitstream(a.positional[0], device);
-  if (!bs.ok()) {
-    std::fprintf(stderr, "run: %s\n", bs.error().message.c_str());
+  auto file = load_bitstream(a.positional[0]);
+  if (!file.ok()) {
+    std::fprintf(stderr, "run: %s\n", file.error().message.c_str());
     return 1;
   }
+  const bits::Device& device = file.value().device;
+  const bits::PartialBitstream& bs = file.value().bitstream;
 
   core::SystemConfig cfg;
   cfg.uparc.device = device;
@@ -270,7 +256,7 @@ int cmd_run(const Args& a) {
   if (md) {
     std::printf("CLK_2 = %.4g MHz (M=%u D=%u)\n", md->f_out.in_mhz(), md->m, md->d);
   }
-  if (auto st = sys.stage(bs.value()); !st.ok()) {
+  if (auto st = sys.stage(bs); !st.ok()) {
     std::fprintf(stderr, "run: %s\n", st.error().message.c_str());
     return 1;
   }
@@ -283,7 +269,7 @@ int cmd_run(const Args& a) {
   std::printf("time:      %s\n", to_string(r.duration()).c_str());
   std::printf("bandwidth: %.1f MB/s\n", r.bandwidth().mb_per_sec());
   std::printf("energy:    %.2f uJ\n", r.energy_uj);
-  std::printf("verified:  %s\n", sys.plane().contains(bs.value().frames) ? "yes" : "NO");
+  std::printf("verified:  %s\n", sys.plane().contains(bs.frames) ? "yes" : "NO");
 
   const std::string csv = a.get("csv", "");
   if (!csv.empty()) {
@@ -305,12 +291,13 @@ int cmd_inject(const Args& a) {
     std::fprintf(stderr, "inject: need a .bit file\n");
     return 2;
   }
-  bits::Device device = bits::kVirtex5Sx50t;
-  auto bs = load_bitstream(a.positional[0], device);
-  if (!bs.ok()) {
-    std::fprintf(stderr, "inject: %s\n", bs.error().message.c_str());
+  auto file = load_bitstream(a.positional[0]);
+  if (!file.ok()) {
+    std::fprintf(stderr, "inject: %s\n", file.error().message.c_str());
     return 1;
   }
+  const bits::Device& device = file.value().device;
+  const bits::PartialBitstream& bs = file.value().bitstream;
 
   const std::string site_name = a.get("site", "bram_read");
   fault::FaultSite site = fault::FaultSite::kCount;
@@ -348,7 +335,7 @@ int cmd_inject(const Args& a) {
   inj.arm(sys.uparc(), sys.icap());
   (void)sys.set_frequency_blocking(Frequency::mhz(a.get_num("mhz", 362.5)));
 
-  auto out = sys.run_recovery_blocking(bs.value());
+  auto out = sys.run_recovery_blocking(bs);
   std::printf("site:      %s (rate %g, seed %llu)\n", fault::to_string(site), cfg.rate,
               static_cast<unsigned long long>(plan.seed));
   for (const auto& rec : out.history) {
@@ -447,19 +434,20 @@ int cmd_trace(const Args& a) {
     std::fprintf(stderr, "trace: need a .bit file\n");
     return 2;
   }
-  bits::Device device = bits::kVirtex5Sx50t;
-  auto bs = load_bitstream(a.positional[0], device);
-  if (!bs.ok()) {
-    std::fprintf(stderr, "trace: %s\n", bs.error().message.c_str());
+  auto file = load_bitstream(a.positional[0]);
+  if (!file.ok()) {
+    std::fprintf(stderr, "trace: %s\n", file.error().message.c_str());
     return 1;
   }
+  const bits::Device& device = file.value().device;
+  const bits::PartialBitstream& bs = file.value().bitstream;
 
   core::SystemConfig cfg;
   cfg.uparc.device = device;
   cfg.trace = true;
   core::System sys(cfg);
   (void)sys.set_frequency_blocking(Frequency::mhz(a.get_num("mhz", 362.5)));
-  if (auto st = sys.stage(bs.value()); !st.ok()) {
+  if (auto st = sys.stage(bs); !st.ok()) {
     std::fprintf(stderr, "trace: %s\n", st.error().message.c_str());
     return 1;
   }
@@ -475,17 +463,17 @@ int cmd_trace(const Args& a) {
   // mismatched frames, repairs, injected upsets) show up under --metrics.
   const auto scrub_rounds = static_cast<unsigned>(a.get_num("scrub-rounds", 0));
   if (scrub_rounds > 0 && r.success) {
-    if (auto st = sys.stage(bs.value()); !st.ok()) {
+    if (auto st = sys.stage(bs); !st.ok()) {
       std::fprintf(stderr, "trace: restage for scrub: %s\n", st.error().message.c_str());
       return 1;
     }
     std::vector<bits::FrameAddress> window;
-    for (const auto& f : bs.value().frames) window.push_back(f.address);
+    for (const auto& f : bs.frames) window.push_back(f.address);
     scrub::SeuInjector seu(sys.sim(), "seu", sys.plane(), window, TimePs::from_us(100),
                            static_cast<u64>(a.get_num("seed", 1)));
     scrub::Readback readback(sys.sim(), "readback", sys.icap());
     scrub::Scrubber scrubber(sys.sim(), "scrubber", sys.uparc(), readback,
-                             bs.value().frames,
+                             bs.frames,
                              scrub::ScrubberConfig{scrub::ScrubMode::kFrameRepair});
     for (unsigned i = 0; i < scrub_rounds; ++i) {
       (void)seu.inject_now();
@@ -754,19 +742,20 @@ int cmd_sweep(const Args& a) {
     std::fprintf(stderr, "sweep: need a .bit file\n");
     return 2;
   }
-  bits::Device device = bits::kVirtex5Sx50t;
-  auto bs = load_bitstream(a.positional[0], device);
-  if (!bs.ok()) {
-    std::fprintf(stderr, "sweep: %s\n", bs.error().message.c_str());
+  auto file = load_bitstream(a.positional[0]);
+  if (!file.ok()) {
+    std::fprintf(stderr, "sweep: %s\n", file.error().message.c_str());
     return 1;
   }
+  const bits::Device& device = file.value().device;
+  const bits::PartialBitstream& bs = file.value().bitstream;
   std::printf("%10s %12s %10s %10s\n", "CLK_2", "time", "MB/s", "uJ");
   for (double mhz : {50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 362.5}) {
     core::SystemConfig cfg;
     cfg.uparc.device = device;
     core::System sys(cfg);
     (void)sys.set_frequency_blocking(Frequency::mhz(mhz));
-    if (!sys.stage(bs.value()).ok()) continue;
+    if (!sys.stage(bs).ok()) continue;
     auto r = sys.reconfigure_blocking();
     if (!r.success) continue;
     std::printf("%7.1f MHz %12s %10.1f %10.2f\n", mhz, to_string(r.duration()).c_str(),
