@@ -282,7 +282,7 @@ ReplayResult verify_burst_replay(u64 seed) {
   struct Scenario {
     std::string name;
     std::function<BurstRun(bool)> run;
-    bool streams_in_bursts = false;  ///< an uncompressed, untapped stream
+    bool streams_in_bursts = false;  ///< an uncompressed stream or a readback
   };
   const bits::PartialBitstream big = burst_image(seed, 247 * 1024);
   core::SystemConfig v6;
@@ -303,8 +303,8 @@ ReplayResult verify_burst_replay(u64 seed) {
   scenarios.push_back(
       {"compressed-500kb", [&](bool on) { return plain_reconfig({}, 0.0, compressed, on); }});
   scenarios.push_back(
-      {"faulted-recovery", [&](bool on) { return faulted_recovery(seed, small, on); }});
-  scenarios.push_back({"cached-txn", [&](bool on) { return cached_txn(small, on); }});
+      {"faulted-recovery", [&](bool on) { return faulted_recovery(seed, small, on); }, true});
+  scenarios.push_back({"cached-txn", [&](bool on) { return cached_txn(small, on); }, true});
 
   for (const Scenario& sc : scenarios) {
     const BurstRun inl = sc.run(true);
@@ -329,7 +329,7 @@ ReplayResult verify_burst_replay(u64 seed) {
                           "the oracle compares the two clock paths only if both ran");
     }
     // Bursts are inlined edges too: none without inlining, and the
-    // uncompressed streams must take them.
+    // uncompressed streams, tapped or not, and the readback must take them.
     if (ref.bursts != 0 || (sc.streams_in_bursts && inl.bursts == 0)) {
       result.report.error("det.replay.divergence", Location::file(base + "events.txt", 1),
                           "bursts were not exercised: " + std::to_string(inl.bursts) +

@@ -54,13 +54,34 @@ void Crc32::update(u8 byte) noexcept {
 }
 
 void Crc32::update(BytesView bytes) noexcept {
-  for (u8 b : bytes) update(b);
+  // The reflected CRC consumes the lowest lane first, so four bytes in
+  // stream order form the lanes of one little-endian word.
+  u32 s = state_;
+  std::size_t i = 0;
+  for (; i + 4 <= bytes.size(); i += 4) {
+    s = lanes<3>(s ^ (u32{bytes[i]} | (u32{bytes[i + 1]} << 8) | (u32{bytes[i + 2]} << 16) |
+                      (u32{bytes[i + 3]} << 24)));
+  }
+  state_ = s;
+  for (; i < bytes.size(); ++i) update(bytes[i]);
 }
 
 void Crc32::update_word(u32 word) noexcept {
   // The reflected CRC consumes the word's big-endian bytes lowest lane
   // first, which is the byte-swapped word.
   state_ = lanes<3>(state_ ^ bswap32(word));
+}
+
+void Crc32::update_words(WordsView words) noexcept {
+  // Sixteen bytes per step: the state folds into the first word's lanes.
+  u32 s = state_;
+  std::size_t i = 0;
+  for (; i + 4 <= words.size(); i += 4) {
+    s = lanes<15>(s ^ bswap32(words[i])) ^ lanes<11>(bswap32(words[i + 1])) ^
+        lanes<7>(bswap32(words[i + 2])) ^ lanes<3>(bswap32(words[i + 3]));
+  }
+  state_ = s;
+  for (; i < words.size(); ++i) update_word(words[i]);
 }
 
 void Crc32::update_tagged(u32 word, u8 tag) noexcept {
@@ -89,7 +110,7 @@ u32 crc32(BytesView bytes) noexcept {
 
 u32 crc32_words(WordsView words) noexcept {
   Crc32 c;
-  for (u32 w : words) c.update_word(w);
+  c.update_words(words);
   return c.value();
 }
 

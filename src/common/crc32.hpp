@@ -13,10 +13,15 @@ class Crc32 {
 
   /// Bytewise table step; the reference the word path is tested against.
   void update(u8 byte) noexcept;
+  /// Four bytes per sliced step, then the tail bytewise; equals update(u8)
+  /// on each byte in turn.
   void update(BytesView bytes) noexcept;
   /// Feeds a 32-bit word in big-endian byte order (bitstream word order),
   /// four bytes per step through sliced tables; equals four update(u8).
   void update_word(u32 word) noexcept;
+  /// Feeds each word of `words` as update_word() would, four words per
+  /// sixteen-lane step.
+  void update_words(WordsView words) noexcept;
   /// Feeds `word` then the byte `tag` in one five-lane step; equals
   /// update_word(word) then update(tag).
   void update_tagged(u32 word, u8 tag) noexcept;

@@ -84,9 +84,11 @@ void UReC::abort(ErrorCause cause, std::string why) {
 
 void UReC::stream_burst() {
   // Never the payload's last word: it finishes the stream. The ICAP caps
-  // the run at its FDRI packet's last word and refuses with a tap armed.
-  const std::size_t want =
+  // the run at its FDRI packet's last word and at its write tap's quiet
+  // run; the BRAM caps it at its read tap's.
+  std::size_t want =
       std::min<std::size_t>(payload_words_ - next_addr_, port_.burst_capacity());
+  want = static_cast<std::size_t>(bram_.quiet_reads(want));
   if (want == 0) return;
   const u64 n = clk_.take_edges(want);
   if (n == 0) return;
@@ -141,7 +143,7 @@ void UReC::on_edge() {
       ++words_to_icap_;
       if (next_addr_ > payload_words_) {
         finish_now(UrecState::kFinished);
-      } else if (!bram_.read_tapped()) {
+      } else {
         stream_burst();
       }
       return;

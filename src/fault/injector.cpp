@@ -1,6 +1,9 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace uparc::fault {
 namespace {
@@ -14,6 +17,20 @@ constexpr double kDefaultKeepFraction = 0.5;
 /// perfbench fleet) replays only while the surviving sites keep theirs.
 constexpr std::size_t kRetiredSites = 3;
 
+/// Prng::chance(rate) as one integer comparison: uniform() is m * 2^-53
+/// for m = next() >> 11, and m * 2^-53 < rate exactly when m <
+/// ceil(rate * 2^53). Both the per-word and the quiet-run draws use it.
+u64 fire_threshold(double rate) {
+  if (!(rate > 0.0)) return 0;
+  if (rate >= 1.0) return u64{1} << 53;
+  return static_cast<u64>(std::ceil(std::ldexp(rate, 53)));
+}
+
+/// Opportunities before `after` ends, which draw nothing.
+u64 undrawn(const SiteConfig& cfg, u64 opportunities) {
+  return cfg.after > opportunities ? cfg.after - opportunities : 0;
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(sim::Simulation& sim, std::string name, FaultPlan plan)
@@ -26,9 +43,12 @@ void FaultInjector::reset() {
     // Independent splitmix-spaced stream per site: the interleaving of
     // opportunities across sites cannot perturb any one site's draws.
     states_[i].prng.reseed(plan_.seed + (i + 1 + kRetiredSites) * 0xD1B54A32D192ED03ULL);
+    states_[i].threshold = fire_threshold(plan_.sites[i].rate);
     states_[i].opportunities = 0;
     states_[i].fires = 0;
     states_[i].burst_left = 0;
+    states_[i].quiet = 0;
+    states_[i].fire_next = false;
   }
 }
 
@@ -51,11 +71,51 @@ bool FaultInjector::should_fire(FaultSite site) {
   }
   if (st.fires >= cfg.max_fires) return false;
   if (st.opportunities <= cfg.after) return false;
-  if (!st.prng.chance(cfg.rate)) return false;
+  if (st.quiet > 0) {
+    --st.quiet;
+    return false;
+  }
+  const bool fire = std::exchange(st.fire_next, false) || (st.prng.next() >> 11) < st.threshold;
+  if (!fire) return false;
   ++st.fires;
   st.burst_left = cfg.burst > 0 ? cfg.burst - 1 : 0;
   metrics().counter(name() + ".fires." + to_string(site)).add();
   return true;
+}
+
+u64 FaultInjector::quiet_run(FaultSite site, u64 n) {
+  const SiteConfig& cfg = plan_.at(site);
+  if (!cfg.armed()) return n;
+  SiteState& st = state(site);
+  if (st.burst_left > 0) return 0;
+  if (st.fires >= cfg.max_fires) return n;
+  const u64 free = undrawn(cfg, st.opportunities);
+  while (!st.fire_next && free + st.quiet < n) {
+    if ((st.prng.next() >> 11) < st.threshold) {
+      st.fire_next = true;
+    } else {
+      ++st.quiet;
+    }
+  }
+  return std::min(n, free + st.quiet);
+}
+
+void FaultInjector::pass(FaultSite site, u64 k) {
+  const SiteConfig& cfg = plan_.at(site);
+  if (!cfg.armed() || k == 0) return;
+  SiteState& st = state(site);
+  if (st.burst_left > 0) {
+    throw std::logic_error("FaultInjector::pass inside a burst at " + std::string(to_string(site)));
+  }
+  if (st.fires < cfg.max_fires) {
+    const u64 drawn = k - std::min(k, undrawn(cfg, st.opportunities));
+    if (drawn > st.quiet) {
+      throw std::logic_error("FaultInjector::pass past the quiet run at " +
+                             std::string(to_string(site)));
+    }
+    st.quiet -= drawn;
+  }
+  st.opportunities += k;
 }
 
 u32 FaultInjector::flip_bit(FaultSite site, u32 value) {
@@ -71,10 +131,13 @@ void FaultInjector::arm(core::Uparc& uparc, icap::Icap& icap) {
 }
 
 void FaultInjector::arm_bram(mem::Bram& bram) {
-  bram.set_read_tap([this](std::size_t, u32 value) {
-    return should_fire(FaultSite::kBramRead) ? flip_bit(FaultSite::kBramRead, value)
-                                             : value;
-  });
+  bram.set_read_tap(
+      [this](std::size_t, u32 value) {
+        return should_fire(FaultSite::kBramRead) ? flip_bit(FaultSite::kBramRead, value)
+                                                 : value;
+      },
+      {[this](u64 n) { return quiet_run(FaultSite::kBramRead, n); },
+       [this](u64 k) { pass(FaultSite::kBramRead, k); }});
 }
 
 void FaultInjector::arm_decompressor(core::DecompressorUnit& decomp) {
@@ -99,12 +162,22 @@ void FaultInjector::arm_dcm(icap::Dcm& dcm) {
 }
 
 void FaultInjector::arm_icap(icap::Icap& icap) {
-  icap.set_write_tap([this](u32& word) {
-    if (should_fire(FaultSite::kIcapCorrupt)) {
-      word = flip_bit(FaultSite::kIcapCorrupt, word);
-    }
-    return should_fire(FaultSite::kIcapAbort);
-  });
+  // Each write is an opportunity at both sites; a word passes untouched
+  // only while neither fires.
+  icap.set_write_tap(
+      [this](u32& word) {
+        if (should_fire(FaultSite::kIcapCorrupt)) {
+          word = flip_bit(FaultSite::kIcapCorrupt, word);
+        }
+        return should_fire(FaultSite::kIcapAbort);
+      },
+      {[this](u64 n) {
+         return quiet_run(FaultSite::kIcapAbort, quiet_run(FaultSite::kIcapCorrupt, n));
+       },
+       [this](u64 k) {
+         pass(FaultSite::kIcapCorrupt, k);
+         pass(FaultSite::kIcapAbort, k);
+       }});
 }
 
 void FaultInjector::schedule_lock_loss(icap::Dcm& dcm, TimePs at) {

@@ -96,9 +96,12 @@ void Icap::begin_readout(u32 count) {
 bool Icap::read_word(u32& out) {
   if (state_ != IcapState::kReadout) return false;
   if (readout_pos_ >= readout_buf_.size()) {
-    // Fetch the next frame from the plane; unwritten frames read as zeros.
-    const Words* frame = plane_.read_frame(far_);
-    readout_buf_ = frame != nullptr ? *frame : Words(plane_.device().frame_words, 0);
+    // Copy the next frame from the plane; unwritten frames read as zeros.
+    if (const Words* frame = plane_.read_frame(far_)) {
+      readout_buf_ = *frame;
+    } else {
+      readout_buf_.assign(plane_.device().frame_words, 0);
+    }
     readout_pos_ = 0;
     far_ = bits::next_frame_address(far_);
   }
@@ -110,6 +113,50 @@ bool Icap::read_word(u32& out) {
     readout_pos_ = 0;
   }
   return true;
+}
+
+void Icap::read_words(u32 n, const std::function<void(WordsView)>& sink) {
+  if (n > readout_words_left()) {
+    throw std::logic_error("Icap::read_words: more words than the readout has left");
+  }
+  if (n == 0) return;
+  readback_words_ += n;
+  readout_left_ -= n;
+  if (readout_pos_ < readout_buf_.size()) {
+    // Finish the frame read_word() started from its copy: the plane may
+    // have changed since that word.
+    const u32 k = std::min<u32>(n, static_cast<u32>(readout_buf_.size() - readout_pos_));
+    sink(WordsView(readout_buf_).subspan(readout_pos_, k));
+    readout_pos_ += k;
+    n -= k;
+  }
+  const u32 fw = plane_.device().frame_words;
+  while (n > 0) {
+    // Nothing runs between the claimed edges, so the plane reads now what
+    // each frame's first word would have copied.
+    const Words* frame = plane_.read_frame(far_);
+    far_ = bits::next_frame_address(far_);
+    const u32 k = std::min(n, fw);
+    if (frame != nullptr && k == fw) {
+      sink(*frame);
+    } else {
+      // An unwritten frame reads as zeros, and read_word() streams the
+      // rest of a frame the burst leaves half read from a copy.
+      if (frame != nullptr) {
+        readout_buf_ = *frame;
+      } else {
+        readout_buf_.assign(fw, 0);
+      }
+      readout_pos_ = k;
+      sink(WordsView(readout_buf_).first(k));
+    }
+    n -= k;
+  }
+  if (readout_left_ == 0) {
+    state_ = IcapState::kIdle;
+    readout_buf_.clear();
+    readout_pos_ = 0;
+  }
 }
 
 void Icap::finish_packet() { state_ = IcapState::kIdle; }
@@ -185,10 +232,13 @@ void Icap::commit_frame(WordsView frame) {
   ++frames_;
 }
 
-u32 Icap::burst_capacity() const noexcept {
+u32 Icap::burst_capacity() const {
   const bool fdri = (state_ == IcapState::kType1Payload || state_ == IcapState::kType2Payload) &&
                     current_reg_ == bits::ConfigReg::kFdri && wcfg_active_;
-  return fdri && !write_tap_ ? payload_left_ - 1 : 0;
+  if (!fdri) return 0;
+  const u32 room = payload_left_ - 1;  // the packet's last word ends it
+  if (!write_tap_) return room;
+  return write_quiet_ ? static_cast<u32>(write_quiet_.quiet(room)) : 0;
 }
 
 void Icap::write_words(WordsView words) {
@@ -196,6 +246,7 @@ void Icap::write_words(WordsView words) {
     throw std::logic_error("Icap::write_words: more words than burst_capacity()");
   }
   const auto n = static_cast<u32>(words.size());
+  if (write_tap_ && n > 0) write_quiet_.pass(n);
   words_ += n;
   words_counter_->add(static_cast<double>(n));
   crc_.write(bits::ConfigReg::kFdri, words);

@@ -15,6 +15,7 @@
 #include <functional>
 
 #include "bitstream/packet.hpp"
+#include "common/quiet_run.hpp"
 #include "common/result.hpp"
 #include "icap/config_plane.hpp"
 
@@ -40,11 +41,12 @@ class Icap : public sim::Module {
   void write_word(u32 word);
   /// FDRI payload words write_words() may take now: inside an FDRI packet
   /// after CMD WCFG, every word but the packet's last (which ends the
-  /// packet), and none while a write tap is armed.
-  [[nodiscard]] u32 burst_capacity() const noexcept;
+  /// packet), and with a write tap armed only the tap's quiet run (none
+  /// for a tap without a quiet answer).
+  [[nodiscard]] u32 burst_capacity() const;
   /// Feeds up to burst_capacity() FDRI words (one cycle each) in one call:
-  /// one span CRC step, whole frames committed straight from the span. The
-  /// same as write_word() on each word in turn.
+  /// one span CRC step, whole frames committed straight from the span, one
+  /// pass() of the write tap. The same as write_word() on each word in turn.
   void write_words(WordsView words);
 
   /// Readback: after a type-1/2 READ of FDRO (preceded by FAR and CMD RCFG
@@ -55,6 +57,17 @@ class Icap : public sim::Module {
   [[nodiscard]] bool readout_active() const noexcept {
     return state_ == IcapState::kReadout;
   }
+  /// Words the active FDRO read has left (0 when no readout is active):
+  /// at most this many go to read_words().
+  [[nodiscard]] u32 readout_words_left() const noexcept {
+    return state_ == IcapState::kReadout ? readout_left_ : 0;
+  }
+  /// Streams the next `n` readout words (one cycle each) in one call, the
+  /// same words n read_word() calls return. `sink` gets them in order as
+  /// spans that each lie within one frame: a frame read_word() started
+  /// comes from its copy, every later whole frame straight from the plane
+  /// (an unwritten frame as zeros).
+  void read_words(u32 n, const std::function<void(WordsView)>& sink);
   [[nodiscard]] u64 words_read_back() const noexcept { return readback_words_; }
 
   [[nodiscard]] IcapState state() const noexcept { return state_; }
@@ -68,9 +81,13 @@ class Icap : public sim::Module {
 
   /// Fault-injection tap, consulted on every write_word before the FSM
   /// sees the word. The tap may mutate the word; returning true aborts the
-  /// port (kIcapAbort) instead of consuming it.
+  /// port (kIcapAbort) instead of consuming it. `quiet` is the tap's quiet
+  /// answer, if it has one (common/quiet_run.hpp).
   using WriteTap = std::function<bool(u32&)>;
-  void set_write_tap(WriteTap tap) { write_tap_ = std::move(tap); }
+  void set_write_tap(WriteTap tap, QuietRun quiet = {}) {
+    write_tap_ = std::move(tap);
+    write_quiet_ = std::move(quiet);
+  }
 
   [[nodiscard]] u64 words_consumed() const noexcept { return words_; }
   [[nodiscard]] u64 frames_committed() const noexcept { return frames_; }
@@ -109,11 +126,12 @@ class Icap : public sim::Module {
   std::string error_;
   ErrorCause cause_ = ErrorCause::kNone;
   WriteTap write_tap_;
+  QuietRun write_quiet_;
 
   bits::ConfigReg current_reg_ = bits::ConfigReg::kCrc;
   u32 payload_left_ = 0;
   u32 readout_left_ = 0;
-  Words readout_buf_;           // current frame being streamed out
+  Words readout_buf_;           // copy of the frame read_word() streams out
   std::size_t readout_pos_ = 0;
   u64 readback_words_ = 0;
   bool rcfg_active_ = false;

@@ -28,9 +28,19 @@ WordsView Bram::read_words(std::size_t word_addr, std::size_t n) const {
   if (word_addr > words_.size() || n > words_.size() - word_addr) {
     throw std::out_of_range("Bram burst read out of range: " + name());
   }
-  if (read_tap_) throw std::logic_error("Bram burst read with a read tap armed: " + name());
+  if (read_tap_ && n > 0) {
+    if (!read_quiet_) {
+      throw std::logic_error("Bram burst read past a read tap without a quiet answer: " + name());
+    }
+    read_quiet_.pass(n);
+  }
   reads_ += n;
   return WordsView(words_).subspan(word_addr, n);
+}
+
+u64 Bram::quiet_reads(u64 n) const {
+  if (!read_tap_ || n == 0) return n;
+  return read_quiet_ ? read_quiet_.quiet(n) : 0;
 }
 
 void Bram::load(BytesView data, std::size_t word_offset) {

@@ -10,6 +10,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "common/quiet_run.hpp"
 #include "sim/module.hpp"
 
 namespace uparc::mem {
@@ -29,9 +30,13 @@ class Bram : public sim::Module {
   /// model; the caller charges one clock cycle per read.
   [[nodiscard]] u32 read_word(std::size_t word_addr) const;
   /// Port B burst: the `n` words from `word_addr`, counted as `n` reads
-  /// (UReC's burst path, one cycle per word). Throws with a read tap armed,
-  /// because the tap must see every read one by one.
+  /// (UReC's burst path, one cycle per word). With a read tap armed, `n`
+  /// must lie within quiet_reads(): the tap lets them pass in one call.
   [[nodiscard]] WordsView read_words(std::size_t word_addr, std::size_t n) const;
+  /// How many of the next `n` reads read_words() may take: n with no read
+  /// tap, the tap's quiet run with one, and 0 for a tap without a quiet
+  /// answer, which must see every read one by one.
+  [[nodiscard]] u64 quiet_reads(u64 n) const;
 
   /// Bulk preload helper: packs bytes big-endian into words starting at
   /// `word_offset`. Throws on overflow.
@@ -41,10 +46,13 @@ class Bram : public sim::Module {
 
   /// Fault hook on port B: every read_word() result passes through the tap
   /// (word address, stored value) -> observed value. The stored array is
-  /// untouched — the tap models a read-path upset, not a write.
+  /// untouched — the tap models a read-path upset, not a write. `quiet`
+  /// is the tap's quiet answer, if it has one (common/quiet_run.hpp).
   using ReadTap = std::function<u32(std::size_t, u32)>;
-  void set_read_tap(ReadTap tap) { read_tap_ = std::move(tap); }
-  [[nodiscard]] bool read_tapped() const noexcept { return static_cast<bool>(read_tap_); }
+  void set_read_tap(ReadTap tap, QuietRun quiet = {}) {
+    read_tap_ = std::move(tap);
+    read_quiet_ = std::move(quiet);
+  }
 
   [[nodiscard]] u64 reads() const noexcept { return reads_; }
   [[nodiscard]] u64 writes() const noexcept { return writes_; }
@@ -53,6 +61,7 @@ class Bram : public sim::Module {
   Words words_;
   Frequency rated_fmax_;
   mutable ReadTap read_tap_;
+  QuietRun read_quiet_;
   mutable u64 reads_ = 0;
   u64 writes_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "scrub/readback.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace uparc::scrub {
@@ -121,10 +122,40 @@ void Readback::on_edge() {
   }
   bubble_cycles_ = 0;
   ++report_.words_read;
-  frame_crc_.update_word(word);
+  fold(WordsView(&word, 1));
 
   const Run& run = plan_[run_index_];
-  if (++word_in_frame_ == port_.device().frame_words) {
+  if (frame_in_run_ < run.frames.size()) {
+    read_burst();
+    return;
+  }
+  // Run complete: advance to the next run or finish.
+  ++run_index_;
+  frame_in_run_ = 0;
+  if (run_index_ >= plan_.size()) {
+    finish();
+    return;
+  }
+  const Run& next = plan_[run_index_];
+  bits::PacketWriter pw;
+  pw.write_reg(bits::ConfigReg::kFar, next.start.pack());
+  pw.command(bits::Command::kRcfg);
+  command_queue_ = pw.take();
+  const u32 words = static_cast<u32>(next.frames.size()) * port_.device().frame_words;
+  command_queue_.push_back(bits::type1(bits::Opcode::kRead, bits::ConfigReg::kFdro, 0));
+  command_queue_.push_back(bits::type2(bits::Opcode::kRead, words));
+  command_pos_ = 0;
+}
+
+void Readback::fold(WordsView words) {
+  const u32 fw = port_.device().frame_words;
+  const Run& run = plan_[run_index_];
+  while (!words.empty()) {
+    const std::size_t k = std::min<std::size_t>(words.size(), fw - word_in_frame_);
+    frame_crc_.update_words(words.first(k));
+    words = words.subspan(k);
+    word_in_frame_ += static_cast<u32>(k);
+    if (word_in_frame_ < fw) return;
     const bits::FrameAddress& addr = run.frames[frame_in_run_];
     const u32* want = golden_->expected_crc(addr);
     if (want == nullptr || frame_crc_.value() != *want) {
@@ -133,27 +164,21 @@ void Readback::on_edge() {
     frame_crc_.reset();
     word_in_frame_ = 0;
     ++frame_in_run_;
-
-    if (frame_in_run_ == run.frames.size()) {
-      // Run complete: advance to the next run or finish.
-      ++run_index_;
-      frame_in_run_ = 0;
-      if (run_index_ >= plan_.size()) {
-        finish();
-        return;
-      }
-      const Run& next = plan_[run_index_];
-      bits::PacketWriter pw;
-      pw.write_reg(bits::ConfigReg::kFar, next.start.pack());
-      pw.command(bits::Command::kRcfg);
-      command_queue_ = pw.take();
-      const u32 words =
-          static_cast<u32>(next.frames.size()) * port_.device().frame_words;
-      command_queue_.push_back(bits::type1(bits::Opcode::kRead, bits::ConfigReg::kFdro, 0));
-      command_queue_.push_back(bits::type2(bits::Opcode::kRead, words));
-      command_pos_ = 0;
-    }
   }
+}
+
+void Readback::read_burst() {
+  // All of the run but its last word, which ends the run, and never past
+  // what the port's read has left: a corrupted read count stalls or fails
+  // at the same edge as word by word.
+  const u64 fw = port_.device().frame_words;
+  const u64 left = plan_[run_index_].frames.size() * fw - (frame_in_run_ * fw + word_in_frame_);
+  const u64 want = std::min<u64>(left - 1, port_.readout_words_left());
+  if (want == 0) return;
+  const u64 n = clk_.take_edges(want);
+  if (n == 0) return;
+  port_.read_words(static_cast<u32>(n), [this](WordsView words) { fold(words); });
+  report_.words_read += n;
 }
 
 }  // namespace uparc::scrub

@@ -4,7 +4,8 @@
 // READ of FDRO, then one word per cycle back out — per contiguous frame run.
 // Read words are folded into per-frame CRC32s and compared against a golden
 // signature, so corruption detection costs no frame storage (the classic
-// readback-CRC scrubber arrangement).
+// readback-CRC scrubber arrangement). A run's words after its first take
+// one call (a burst, DESIGN §18), all but the run's last.
 #pragma once
 
 #include <functional>
@@ -43,6 +44,11 @@ class Readback : public sim::Module {
 
  private:
   void on_edge();
+  /// Folds readout words into the frame CRCs, checking each frame it ends.
+  void fold(WordsView words);
+  /// Reads the current run's following words in one call, if the clock
+  /// lets the edges go (Clock::take_edges).
+  void read_burst();
   void finish();
 
   icap::Icap& port_;

@@ -103,6 +103,28 @@ TEST(Crc32, StreamingEqualsOneShot) {
   EXPECT_EQ(c.value(), crc32(data));
 }
 
+TEST(Crc32, SlicedBytesMatchBytewiseReference) {
+  // Every length 0-97 (whole four-byte steps plus every tail), starting at
+  // each of the four byte alignments, from a fresh and from a used state.
+  Prng rng(97);
+  Bytes data(97 + 3);
+  for (auto& x : data) x = rng.byte();
+  for (std::size_t align = 0; align < 4; ++align) {
+    for (std::size_t len = 0; len + align <= data.size() && len <= 97; ++len) {
+      const BytesView bytes = BytesView(data).subspan(align, len);
+      for (const u8 lead : {u8{0}, u8{0xA5}}) {
+        Crc32 sliced;
+        Crc32 ref;
+        sliced.update(lead);
+        ref.update(lead);
+        sliced.update(bytes);
+        for (u8 b : bytes) ref.update(b);
+        ASSERT_EQ(sliced.value(), ref.value()) << "align " << align << " len " << len;
+      }
+    }
+  }
+}
+
 /// Reference CRC of a word stream: four bytewise table steps per word.
 u32 bytewise_crc32_words(WordsView words) {
   Crc32 c;
@@ -127,6 +149,19 @@ TEST(Crc32, SlicedWordsMatchBytewiseReference) {
   // Edge words exercise every byte lane of the sliced tables.
   const Words edges = {0u, 0xFFFFFFFFu, 0x80000000u, 0x00000001u, 0xAA995566u};
   EXPECT_EQ(crc32_words(edges), bytewise_crc32_words(edges));
+}
+
+TEST(Crc32, UpdateWordsEqualsUpdateWord) {
+  Prng rng(5);
+  Words w(77);
+  for (auto& x : w) x = static_cast<u32>(rng.next());
+  Crc32 span;
+  Crc32 ref;
+  span.update_words(WordsView(w).first(30));
+  span.update_words(WordsView(w).subspan(30));
+  for (u32 x : w) ref.update_word(x);
+  EXPECT_EQ(span.value(), ref.value());
+  EXPECT_EQ(span.value(), bytewise_crc32_words(w));
 }
 
 TEST(Crc32, ConfigCrcRegisterSequencesMatchBytewiseReference) {

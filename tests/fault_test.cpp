@@ -4,6 +4,8 @@
 // seed.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "compress/registry.hpp"
 #include "controllers/mst_icap.hpp"
 #include "controllers/xps_hwicap.hpp"
@@ -53,6 +55,135 @@ TEST(FaultInjector, UnarmedSitesCostNothingAndNeverFire) {
   inj.arm_bram(bram);
   for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(bram.read_word(i), 0u);
   EXPECT_EQ(inj.total_fires(), 0u);
+}
+
+// ------------------------------------------------------------- quiet runs
+//
+// quiet_run/pass let a stream take the opportunities between fires in one
+// call. Driven in random chunks mixed with single should_fire calls, a site
+// must fire on the same opportunities, flip the same bits and count the
+// same fires as should_fire on every opportunity.
+
+/// What one site did over a run of opportunities.
+struct SiteLog {
+  std::vector<u64> fired;  ///< opportunity indices that fired
+  std::vector<u32> flips;  ///< flip_bit(site, 0) at each of them
+  u64 fires = 0;
+  double counter = 0.0;
+  bool operator==(const SiteLog&) const = default;
+};
+
+fault::SiteConfig random_site(Prng& rng) {
+  fault::SiteConfig cfg;
+  switch (rng.below(3)) {
+    case 0: cfg.rate = 1.0; break;
+    case 1: cfg.rate = 1.0 - rng.uniform(); break;  // (0, 1]
+    default: cfg.rate = std::pow(10.0, -1.0 - 3.0 * rng.uniform()); break;
+  }
+  cfg.after = rng.below(3) == 0 ? 0 : rng.below(400);
+  cfg.burst = rng.below(5);  // 0 behaves as 1
+  cfg.max_fires = rng.below(3) == 0 ? ~u64{0} : rng.below(8);
+  return cfg;
+}
+
+/// Drives `site` over `n` opportunities. With `rng` null: should_fire on
+/// each. Otherwise random quiet_run/pass chunks (some passing less than the
+/// answer, some asking without passing) mixed with single calls.
+SiteLog drive_site(const FaultPlan& plan, FaultSite site, u64 n, Prng* rng) {
+  sim::Simulation sim;
+  fault::FaultInjector inj(sim, "inj", plan);
+  SiteLog log;
+  const auto one = [&](u64 i) {
+    if (inj.should_fire(site)) {
+      log.fired.push_back(i);
+      log.flips.push_back(inj.flip_bit(site, 0));
+    }
+  };
+  for (u64 i = 0; i < n;) {
+    if (rng == nullptr || rng->below(4) == 0) {
+      one(i++);
+      continue;
+    }
+    const u64 ask = std::min<u64>(n - i, 1 + rng->below(rng->below(2) == 0 ? 8 : 600));
+    const u64 quiet = inj.quiet_run(site, ask);
+    EXPECT_LE(quiet, ask);
+    const u64 k = rng->below(3) == 0 ? rng->below(quiet + 1) : quiet;
+    inj.pass(site, k);
+    i += k;
+    if (k == quiet && quiet < ask) {
+      // The quiet run ends at a firing opportunity.
+      EXPECT_TRUE(inj.should_fire(site)) << "opportunity " << i;
+      log.fired.push_back(i);
+      log.flips.push_back(inj.flip_bit(site, 0));
+      ++i;
+    }
+  }
+  log.fires = inj.fires(site);
+  log.counter = sim.metrics().counter(std::string("inj.fires.") + fault::to_string(site)).value();
+  return log;
+}
+
+TEST(FaultQuietRun, ChunkedPassesFireExactlyLikeEveryOpportunity) {
+  Prng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    FaultPlan plan;
+    plan.seed = rng.next();
+    const auto site = static_cast<FaultSite>(rng.below(fault::kFaultSiteCount));
+    plan.arm(site, random_site(rng));
+    const u64 n = 1 + rng.below(3000);
+    const SiteLog ref = drive_site(plan, site, n, nullptr);
+    Prng chunks(rng.next());
+    const SiteLog got = drive_site(plan, site, n, &chunks);
+    ASSERT_EQ(got, ref) << "trial " << trial << " rate " << plan.at(site).rate << " after "
+                        << plan.at(site).after << " burst " << plan.at(site).burst
+                        << " max_fires " << plan.at(site).max_fires;
+  }
+}
+
+TEST(FaultQuietRun, FireDecisionsAreThoseOfPrngChance) {
+  // Site streams are seeded as in FaultInjector::reset(): plan seed + (site
+  // index + 4) * 0xD1B54A32D192ED03 (indices 1-3 belong to retired sites).
+  for (const double rate : {1.0, 0.5, 0.25, 1e-4, std::nextafter(1.0, 0.0), 0x1.0p-53,
+                            0x1.8p-53, 3e-17, 0.7}) {
+    FaultPlan plan;
+    plan.seed = 99;
+    plan.arm(FaultSite::kBramRead, {.rate = rate});
+    sim::Simulation sim;
+    fault::FaultInjector inj(sim, "inj", plan);
+    Prng ref(plan.seed + (static_cast<u64>(FaultSite::kBramRead) + 4) * 0xD1B54A32D192ED03ULL);
+    for (int i = 0; i < 4000; ++i) {
+      ASSERT_EQ(inj.should_fire(FaultSite::kBramRead), ref.chance(rate))
+          << "rate " << rate << " opportunity " << i;
+    }
+  }
+}
+
+TEST(FaultQuietRun, PassBeyondTheQuietRunThrows) {
+  sim::Simulation sim;
+  FaultPlan plan;
+  // max_fires counts hits: a fire and its burst hit, then one more fire.
+  plan.arm(FaultSite::kIcapAbort, {.rate = 1.0, .after = 5, .burst = 2, .max_fires = 3});
+  fault::FaultInjector inj(sim, "inj", plan);
+  EXPECT_EQ(inj.quiet_run(FaultSite::kIcapAbort, 100), 5u);  // the `after` window
+  EXPECT_THROW(inj.pass(FaultSite::kIcapAbort, 6), std::logic_error);
+  inj.pass(FaultSite::kIcapAbort, 5);
+  EXPECT_EQ(inj.quiet_run(FaultSite::kIcapAbort, 100), 0u);
+  EXPECT_THROW(inj.pass(FaultSite::kIcapAbort, 1), std::logic_error);
+  EXPECT_TRUE(inj.should_fire(FaultSite::kIcapAbort));
+  // An open burst is never quiet.
+  EXPECT_EQ(inj.quiet_run(FaultSite::kIcapAbort, 100), 0u);
+  EXPECT_THROW(inj.pass(FaultSite::kIcapAbort, 1), std::logic_error);
+  EXPECT_TRUE(inj.should_fire(FaultSite::kIcapAbort));
+  EXPECT_TRUE(inj.should_fire(FaultSite::kIcapAbort));
+  EXPECT_TRUE(inj.should_fire(FaultSite::kIcapAbort));
+  // max_fires used up: quiet forever, drawing nothing.
+  EXPECT_EQ(inj.quiet_run(FaultSite::kIcapAbort, 1000), 1000u);
+  inj.pass(FaultSite::kIcapAbort, 1000);
+  EXPECT_FALSE(inj.should_fire(FaultSite::kIcapAbort));
+  EXPECT_EQ(inj.fires(FaultSite::kIcapAbort), 4u);
+  // An unarmed site is always quiet.
+  EXPECT_EQ(inj.quiet_run(FaultSite::kBramRead, 7), 7u);
+  inj.pass(FaultSite::kBramRead, 7);
 }
 
 // --------------------------------------------------- deterministic replay

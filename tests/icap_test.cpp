@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "bitstream/generator.hpp"
+#include "common/prng.hpp"
 #include "fault/injector.hpp"
 #include "icap/dcm.hpp"
 #include "icap/icap.hpp"
@@ -219,6 +220,90 @@ TEST_F(IcapFixture, ReadbackOfUnwrittenFramesIsZero) {
     EXPECT_EQ(w, 0u);
   }
   EXPECT_FALSE(port.read_word(w));
+}
+
+// read_words against read_word: a readout of written and unwritten frames
+// taken in random chunks, one word or a span at a time, with a frame
+// rewritten after read_word() has started it (the rest comes from its copy).
+TEST_F(IcapFixture, ReadWordsReturnsWhatReadWordWould) {
+  bits::GeneratorConfig cfg;
+  cfg.target_body_bytes = 8_KiB;
+  const auto bs = bits::Generator(cfg).generate();
+  const u32 frames = static_cast<u32>(bs.frames.size()) + 3;  // 3 past the image
+  constexpr std::size_t kRewriteAt = 5 * 41 + 7;              // frame 5, seven words in
+  const auto readout = [&](ConfigPlane& pl, Icap& ic, Prng* rng) {
+    for (const auto& f : bs.frames) pl.write_frame(f.address, f.data);
+    ic.write_word(bits::kSyncWord);
+    ic.write_word(bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kFar, 1));
+    ic.write_word(bs.frames[0].address.pack());
+    ic.write_word(bits::type1(bits::Opcode::kWrite, bits::ConfigReg::kCmd, 1));
+    ic.write_word(static_cast<u32>(bits::Command::kRcfg));
+    ic.write_word(bits::type1(bits::Opcode::kRead, bits::ConfigReg::kFdro, 0));
+    ic.write_word(bits::type2(bits::Opcode::kRead, frames * 41));
+    Words out;
+    u32 w = 0;
+    while (ic.readout_active()) {
+      if (out.size() == kRewriteAt) {
+        // Rewriting frame 5 now changes only later frames' readout, never
+        // the started one's.
+        pl.write_frame(bs.frames[5].address, Words(41, 0x5A5A5A5Au));
+        pl.write_frame(bs.frames[9].address, Words(41, 0x0F0F0F0Fu));
+      }
+      if (rng == nullptr || rng->below(3) == 0) {
+        EXPECT_TRUE(ic.read_word(w));
+        out.push_back(w);
+        continue;
+      }
+      u32 n = std::min<u32>(ic.readout_words_left(), 1 + static_cast<u32>(rng->below(100)));
+      if (out.size() < kRewriteAt) n = std::min(n, static_cast<u32>(kRewriteAt - out.size()));
+      ic.read_words(n, [&](WordsView words) {
+        EXPECT_LE(words.size(), 41u);
+        out.insert(out.end(), words.begin(), words.end());
+      });
+    }
+    EXPECT_EQ(ic.state(), IcapState::kIdle);
+    EXPECT_EQ(ic.words_read_back(), frames * 41);
+    return out;
+  };
+  const Words ref = readout(plane, port, nullptr);
+  ASSERT_EQ(ref.size(), frames * 41);
+  EXPECT_TRUE(std::equal(ref.begin() + 5 * 41, ref.begin() + 6 * 41, bs.frames[5].data.begin()));
+  EXPECT_EQ(ref[9 * 41], 0x0F0F0F0Fu);
+  EXPECT_EQ(ref.back(), 0u);  // an unwritten frame reads as zeros
+  for (u64 seed = 1; seed <= 20; ++seed) {
+    sim::Simulation s2;
+    ConfigPlane p2(s2, "plane", bits::kVirtex5Sx50t);
+    Icap i2(s2, "icap", p2);
+    Prng rng(seed);
+    EXPECT_EQ(readout(p2, i2, &rng), ref) << "seed " << seed;
+  }
+  EXPECT_THROW(port.read_words(1, [](WordsView) {}), std::logic_error);  // no readout
+}
+
+TEST_F(IcapFixture, AWriteTapWithAQuietAnswerBurstsWithinIt) {
+  bits::GeneratorConfig cfg;
+  cfg.target_body_bytes = 8_KiB;
+  const auto bs = bits::Generator(cfg).generate();
+  u64 tapped = 0;
+  u64 passed = 0;
+  port.set_write_tap(
+      [&](u32&) {
+        ++tapped;
+        return false;
+      },
+      {[](u64 n) { return std::min<u64>(n, 100); }, [&](u64 k) { passed += k; }});
+  for (std::size_t i = 0; i < bs.fdri_offset; ++i) {
+    EXPECT_EQ(port.burst_capacity(), 0u) << "word " << i;
+    port.write_word(bs.body[i]);
+  }
+  ASSERT_EQ(port.burst_capacity(), 100u);
+  port.write_words(WordsView(bs.body).subspan(bs.fdri_offset, 100));
+  EXPECT_EQ(passed, 100u);
+  EXPECT_EQ(tapped, bs.fdri_offset);
+  for (std::size_t i = bs.fdri_offset + 100; i < bs.body.size(); ++i) port.write_word(bs.body[i]);
+  EXPECT_TRUE(port.done());
+  EXPECT_TRUE(port.crc_ok());
+  EXPECT_TRUE(plane.contains(bs.frames));
 }
 
 TEST_F(IcapFixture, ReadRequiresRcfgAndFdro) {

@@ -48,6 +48,28 @@ TEST(Bram, LoadPacksBigEndian) {
   EXPECT_EQ(bram.read_word(1), 0xAABB0000u);
 }
 
+TEST(Bram, BurstReadsPassATapOnlyWithinItsQuietAnswer) {
+  sim::Simulation sim;
+  Bram bram(sim, "bram", 1024);
+  EXPECT_EQ(bram.quiet_reads(50), 50u);  // no tap
+  bram.set_read_tap([](std::size_t, u32 value) { return value; });
+  EXPECT_EQ(bram.quiet_reads(50), 0u);  // a tap without a quiet answer
+  EXPECT_THROW((void)bram.read_words(0, 4), std::logic_error);
+
+  u64 passed = 0;
+  bram.set_read_tap([](std::size_t, u32 value) { return value; },
+                    {[](u64 n) { return std::min<u64>(n, 10); },
+                     [&](u64 k) {
+                       if (k > 10) throw std::logic_error("past the quiet run");
+                       passed += k;
+                     }});
+  EXPECT_EQ(bram.quiet_reads(50), 10u);
+  EXPECT_EQ(bram.read_words(0, 10).size(), 10u);
+  EXPECT_EQ(passed, 10u);
+  EXPECT_EQ(bram.reads(), 10u);
+  EXPECT_THROW((void)bram.read_words(0, 11), std::logic_error);
+}
+
 TEST(Bram, LoadOverflowThrows) {
   sim::Simulation sim;
   Bram bram(sim, "bram", 8);

@@ -12,6 +12,8 @@
 #include "bitstream/relocate.hpp"
 #include "common/prng.hpp"
 #include "core/system.hpp"
+#include "fault/injector.hpp"
+#include "txn/stack.hpp"
 
 namespace uparc {
 namespace {
@@ -121,30 +123,43 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range<u64>(200, 208));
 // once with inline clock edges and once with one kernel event per edge.
 // The two runs must agree with each other, and the ICAP must agree with
 // walk_packets on the structural verdict, the frames and the CRC verdict.
+// Every fourth body streams through chaos-rate fault taps instead, so the
+// two clock paths are compared on tapped bursts too; a faulted stream is
+// no longer the body, so only the two runs are compared.
 
 namespace {
 
 /// One System-level run of a body.
 struct IcapRun {
   std::unique_ptr<core::System> sys;
+  std::unique_ptr<fault::FaultInjector> inj;  ///< armed on a faulted run
   ctrl::ReconfigResult result;
   u64 edges = 0;  ///< kernel events plus inlined edges
+  u64 bursts = 0;
 
   [[nodiscard]] const icap::Icap& port() const { return sys->icap(); }
 };
 
-IcapRun stream_body(const bits::Device& device, const Words& body, bool inline_edges) {
+IcapRun stream_body(const bits::Device& device, const Words& body, bool inline_edges,
+                    const fault::FaultPlan* faults = nullptr) {
   core::SystemConfig cfg;
   cfg.uparc.device = device;
   cfg.uparc.lint_gate = false;
   IcapRun run;
   run.sys = std::make_unique<core::System>(cfg);
   run.sys->sim().set_inline_edges(inline_edges);
+  if (faults != nullptr) {
+    run.inj = std::make_unique<fault::FaultInjector>(run.sys->sim(), "inj", *faults);
+    run.inj->arm(run.sys->uparc(), run.sys->icap());
+  }
   bits::PartialBitstream bs;
   bs.body = body;
-  EXPECT_TRUE(run.sys->stage(bs).ok());
-  run.result = run.sys->reconfigure_blocking();
+  const Status staged = run.sys->stage(bs);
+  // A faulted preload may be torn; the stage then reports it.
+  EXPECT_TRUE(staged.ok() || faults != nullptr);
+  if (staged.ok()) run.result = run.sys->reconfigure_blocking();
   run.edges = run.sys->sim().events_executed() + run.sys->sim().inlined_edges();
+  run.bursts = run.sys->sim().burst_edges();
   return run;
 }
 
@@ -167,10 +182,20 @@ bool lint_reports(const bits::Device& device, WordsView body, std::string_view r
   return false;
 }
 
+/// A fault plan both runs of a body stream under, and what the inline
+/// runs did with it.
+struct Faulted {
+  fault::FaultPlan plan;
+  u64 bursts = 0;
+  u64 fires = 0;
+};
+
 /// Checks one body; returns false (after reporting) on the first mismatch.
-bool icap_agrees(const bits::Device& device, const Words& body, int trial) {
-  const IcapRun inl = stream_body(device, body, true);
-  const IcapRun ref = stream_body(device, body, false);
+bool icap_agrees(const bits::Device& device, const Words& body, int trial,
+                 Faulted* faulted = nullptr) {
+  const fault::FaultPlan* faults = faulted != nullptr ? &faulted->plan : nullptr;
+  const IcapRun inl = stream_body(device, body, true, faults);
+  const IcapRun ref = stream_body(device, body, false, faults);
   const icap::Icap& a = inl.port();
   const icap::Icap& b = ref.port();
   // (a) the two clock paths are indistinguishable.
@@ -182,6 +207,16 @@ bool icap_agrees(const bits::Device& device, const Words& body, int trial) {
   EXPECT_EQ(a.words_consumed(), b.words_consumed()) << "trial " << trial;
   EXPECT_EQ(a.frames_committed(), b.frames_committed()) << "trial " << trial;
   EXPECT_TRUE(inl.sys->plane().same_frames(ref.sys->plane())) << "trial " << trial;
+  EXPECT_EQ(ref.bursts, 0u) << "trial " << trial;
+  if (faulted != nullptr) {
+    for (std::size_t site = 0; site < fault::kFaultSiteCount; ++site) {
+      const auto s = static_cast<fault::FaultSite>(site);
+      EXPECT_EQ(inl.inj->fires(s), ref.inj->fires(s)) << "trial " << trial << " " << to_string(s);
+    }
+    faulted->bursts += inl.bursts;
+    faulted->fires += inl.inj->total_fires();
+    return !::testing::Test::HasFailure();
+  }
 
   // (b) the device accepts exactly what the host reader accepts, except
   // for its two semantic rejections, which lint reports.
@@ -227,14 +262,27 @@ TEST_P(IcapDifferential, MutatedBodiesAgreeWithTheHostReaderOnBothClockPaths) {
 
   Prng rng(seed * 13 + 1);
   constexpr int kBodies = 1250;  // per shard; 4 shards per family
+  u64 tapped_bursts = 0;
+  u64 tapped_fires = 0;
   for (int trial = 0; trial < kBodies; ++trial) {
     Words mutated = body;
     const int flips = 1 + static_cast<int>(rng.below(4));
     for (int f = 0; f < flips; ++f) {
       mutated[rng.below(mutated.size())] ^= static_cast<u32>(rng.next());
     }
-    if (!icap_agrees(cfg.device, mutated, trial)) return;
+    if (trial % 4 != 3) {
+      if (!icap_agrees(cfg.device, mutated, trial)) return;
+      continue;
+    }
+    // Four times the chaos soak's rates, so that taps fire in many bodies.
+    Faulted faulted{txn::chaos_plan(seed * 10'000 + static_cast<u64>(trial), 4.0)};
+    if (!icap_agrees(cfg.device, mutated, trial, &faulted)) return;
+    tapped_bursts += faulted.bursts;
+    tapped_fires += faulted.fires;
   }
+  // The faulted bodies did burst through the taps, and the taps fired.
+  EXPECT_GT(tapped_bursts, 0u);
+  EXPECT_GT(tapped_fires, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, IcapDifferential,

@@ -235,6 +235,108 @@ TEST(ReadbackTest, SwallowedReadCommandStallsOutInsteadOfHanging) {
   EXPECT_FALSE(rb.busy());
 }
 
+/// What one Readback verify left behind.
+struct ReadbackRun {
+  scrub::ReadbackReport report;
+  TimePs end{};
+  u64 edges = 0;  ///< kernel events plus inlined edges
+  u64 bursts = 0;
+  bool errored = false;
+};
+
+/// Verifies `golden_frames` over a plane holding `written`, with inline
+/// edges on or off; `tap` (if set) is the port's write tap, and `mid_run`
+/// (if set) runs at 3 us.
+ReadbackRun verify_once(const std::vector<bits::Frame>& written,
+                        const std::vector<bits::Frame>& golden_frames, bool inline_edges,
+                        icap::Icap::WriteTap tap = {},
+                        std::function<void(icap::ConfigPlane&)> mid_run = {}) {
+  sim::Simulation sim;
+  sim.set_inline_edges(inline_edges);
+  icap::ConfigPlane plane(sim, "plane", bits::kVirtex5Sx50t);
+  icap::Icap port(sim, "icap", plane);
+  for (const auto& f : written) plane.write_frame(f.address, f.data);
+  if (tap) port.set_write_tap(std::move(tap));
+  if (mid_run) sim.schedule_at(TimePs::from_us(3), [&] { mid_run(plane); });
+  scrub::Readback rb(sim, "rb", port);
+  scrub::GoldenSignature golden(golden_frames);
+  ReadbackRun run;
+  rb.verify_region(golden, [&](const scrub::ReadbackReport& r) { run.report = r; });
+  sim.run();
+  run.end = sim.now();
+  run.edges = sim.events_executed() + sim.inlined_edges();
+  run.bursts = sim.burst_edges();
+  run.errored = port.errored();
+  return run;
+}
+
+void expect_same(const ReadbackRun& a, const ReadbackRun& b) {
+  EXPECT_EQ(a.report.words_read, b.report.words_read);
+  EXPECT_EQ(a.report.command_words, b.report.command_words);
+  EXPECT_EQ(a.report.stalled, b.report.stalled);
+  EXPECT_EQ(a.report.mismatches, b.report.mismatches);
+  EXPECT_EQ(a.report.duration, b.report.duration);
+  EXPECT_EQ(a.end, b.end);
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.errored, b.errored);
+}
+
+TEST(ReadbackTest, BurstsReadWhatWordByWordReads) {
+  // Two runs (a ghost frame after a gap), a corrupted frame, and a frame
+  // rewritten in the plane while the run is being read.
+  auto bs = make_bs(16_KiB, 3);
+  auto written = bs.frames;
+  written[2].data[7] ^= 0x8;
+  auto golden = bs.frames;
+  golden.push_back({bits::FrameAddress{0, 1, 7, 1, 1}, Words(41, 0x123u)});
+  const auto rewrite = [&](icap::ConfigPlane& plane) {
+    // At 3 us the readout is six words into frame 7 (100 MHz, 7 command
+    // words first): frame 7 reads back as it was, frame 30 as rewritten.
+    for (std::size_t i : {std::size_t{7}, std::size_t{30}}) {
+      plane.write_frame(bs.frames[i].address, Words(41, 0xC0FFEEu));
+    }
+  };
+  const ReadbackRun on = verify_once(written, golden, true, {}, rewrite);
+  const ReadbackRun off = verify_once(written, golden, false, {}, rewrite);
+  expect_same(on, off);
+  EXPECT_GT(on.bursts, 0u);
+  EXPECT_EQ(off.bursts, 0u);
+  EXPECT_EQ(on.report.words_read, golden.size() * 41);
+  EXPECT_EQ(on.report.mismatches, (std::vector<bits::FrameAddress>{
+                                      bs.frames[2].address, bs.frames[30].address,
+                                      golden.back().address}));
+}
+
+TEST(ReadbackTest, CorruptedReadCountStallsOrFailsAtTheSameEdge) {
+  // The first run's type-2 FDRO count is rewritten on its way into the
+  // port: smaller than the run, the readout stops mid-frame and the
+  // readback stalls out; larger, the port is still reading out when the
+  // second run's commands arrive, and fails.
+  auto bs = make_bs(16_KiB, 3);
+  auto golden = bs.frames;
+  golden.push_back({bits::FrameAddress{0, 1, 7, 1, 1}, Words(41, 0u)});
+  for (const int delta : {-50, -1, 1, 50}) {
+    SCOPED_TRACE(delta);
+    const auto tap_for = [delta] {
+      return [delta, done = false](u32& word) mutable {
+        if (!done && bits::packet_type(word) == 2) {
+          done = true;
+          word = bits::type2(bits::Opcode::kRead,
+                             static_cast<u32>(static_cast<int>(bits::type2_count(word)) + delta));
+        }
+        return false;
+      };
+    };
+    const ReadbackRun on = verify_once(bs.frames, golden, true, tap_for());
+    const ReadbackRun off = verify_once(bs.frames, golden, false, tap_for());
+    expect_same(on, off);
+    EXPECT_GT(on.bursts, 0u);
+    EXPECT_EQ(on.report.stalled, delta < 0);
+    EXPECT_EQ(on.errored, delta > 0);
+    EXPECT_FALSE(on.report.clean());
+  }
+}
+
 TEST(ReadbackTest, BusyGuardAndIdempotentReuse) {
   sim::Simulation sim;
   icap::ConfigPlane plane(sim, "plane", bits::kVirtex5Sx50t);

@@ -5,6 +5,7 @@ that tier-1 or verify-determinism catches it.
 Usage, from the repository root:
 
     python3 tools/run_mutants.py [--work DIR] [--only NAME ...] [--jobs N]
+    python3 tools/run_mutants.py --check
 
 The tree (tracked and untracked, not ignored, files) is copied into
 DIR/tree (a fresh temporary directory by default) and built there once with
@@ -16,6 +17,10 @@ restored. A mutant is killed when either check fails; a mutant that does not
 build is reported as invalid. The report lists the failing tests per mutant
 and is also written to DIR/report.json. Exits 0 only when every mutant is
 killed. Each mutant rebuilds part of the tree, so this is not a CI step.
+
+--check only verifies, in the tree itself and without building, that every
+`find` snippet occurs exactly once in its file, so that a change which
+rewrites a mutated line fails fast (a CI step); it exits 1 otherwise.
 """
 
 import argparse
@@ -54,6 +59,18 @@ def copy_tree(dest):
             shutil.copy(src, target)
 
 
+def snippet_errors(tree, mutants):
+    """Every edit whose `find` snippet does not occur exactly once in `tree`."""
+    errors = []
+    for m in mutants:
+        for e in m["edits"]:
+            path = os.path.join(tree, e["file"])
+            hits = open(path).read().count(e["find"]) if os.path.isfile(path) else 0
+            if hits != 1:
+                errors.append("%s: snippet found %d times in %s" % (m["name"], hits, e["file"]))
+    return errors
+
+
 def run(cmd, cwd, log, timeout):
     with open(log, "w") as f:
         try:
@@ -90,10 +107,20 @@ def main():
     parser.add_argument("--work", help="scratch directory (default: a new temporary one)")
     parser.add_argument("--only", nargs="*", default=[], help="mutant names to run")
     parser.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
+    parser.add_argument("--check", action="store_true",
+                        help="only check that every snippet occurs once; build nothing")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "tools", "mutants.json")) as f:
         mutants = json.load(f)
+    if args.check:
+        errors = snippet_errors(ROOT, mutants)
+        for e in errors:
+            print("run_mutants: %s" % e, file=sys.stderr)
+        if not errors:
+            print("run_mutants: all %d snippets of %d mutants occur exactly once"
+                  % (sum(len(m["edits"]) for m in mutants), len(mutants)))
+        return 1 if errors else 0
     unknown = set(args.only) - {m["name"] for m in mutants}
     if unknown:
         print("run_mutants: unknown mutant(s): %s" % ", ".join(sorted(unknown)), file=sys.stderr)
@@ -115,14 +142,11 @@ def main():
             return 1
 
     # Every snippet must match exactly once before anything is built.
-    for m in mutants:
-        for e in m["edits"]:
-            with open(os.path.join(tree, e["file"])) as f:
-                hits = f.read().count(e["find"])
-            if hits != 1:
-                print("run_mutants: %s: snippet found %d times in %s" % (m["name"], hits, e["file"]),
-                      file=sys.stderr)
-                return 2
+    errors = snippet_errors(tree, mutants)
+    for e in errors:
+        print("run_mutants: %s" % e, file=sys.stderr)
+    if errors:
+        return 2
 
     print("baseline: building and checking the unmutated copy in %s" % tree, flush=True)
     base = check(tree, build, args.jobs, logs, "baseline")
