@@ -1,10 +1,13 @@
 // Shared helpers for the paper-reproduction benches: fixed-width table
-// printing and the reference corpus generator.
+// printing, the reference corpus generator, and the spread and host stamp
+// of the host-time benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bitstream/generator.hpp"
@@ -25,6 +28,47 @@ inline void row(const char* label, double paper, double measured, const char* un
   const double delta = paper != 0.0 ? (measured - paper) / paper * 100.0 : 0.0;
   std::printf("  %-28s paper %9.2f %-6s measured %9.2f %-6s (%+.1f%%)\n", label, paper, unit,
               measured, unit, delta);
+}
+
+/// Median and interquartile range of repeated host-time measurements.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+  [[nodiscard]] double iqr() const { return q3 - q1; }
+};
+
+/// Quartiles of a non-empty sample, interpolated between order statistics.
+inline Spread spread(std::vector<double> sample) {
+  std::sort(sample.begin(), sample.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(sample.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sample.size() - 1);
+    return sample[lo] + (pos - static_cast<double>(lo)) * (sample[hi] - sample[lo]);
+  };
+  return {at(0.5), at(0.25), at(0.75)};
+}
+
+// The bench targets define UPARC_BUILD_TYPE as their CMake configuration.
+#ifndef UPARC_BUILD_TYPE
+#define UPARC_BUILD_TYPE "unknown"
+#endif
+
+inline unsigned hardware_threads() { return std::max(1u, std::thread::hardware_concurrency()); }
+
+/// Prints what a host-time number depends on besides the code: hardware
+/// threads, compiler and build type.
+inline void host_stamp() {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "g++ " __VERSION__;
+#else
+  const char* compiler = "unknown compiler";
+#endif
+  std::printf("  host: %u hardware threads, %s, %s build\n", hardware_threads(), compiler,
+              UPARC_BUILD_TYPE);
 }
 
 /// The reference bitstream corpus: high-utilization partial bitstreams at

@@ -1,14 +1,14 @@
-// Simulator-kernel microbenchmark with a checked-in throughput gate.
+// Simulator-kernel microbenchmark with a throughput gate.
 //
 // Measures the three hot loops everything else is built on — raw event
 // dispatch, clocked-FSM cycles, and end-to-end reconfigurations — in
-// wall-clock events per second, writes results/BENCH_kernel.json, and
-// exits non-zero when any number falls below its floor. The floors sit
-// roughly 10x under the numbers a debug-free build measures, so the gate
-// only trips on catastrophic regressions (an accidental O(n^2) queue, a
-// Debug-flag leak into the release preset), never on machine noise.
-// `tools/benchdiff` does the finer-grained comparison against the
-// checked-in baseline.
+// wall-clock events per second, prints the median and interquartile range
+// of kReps repetitions of each with the host they ran on, and exits
+// non-zero when any median falls below its floor. The floors sit one to
+// two orders of magnitude under the numbers an optimized build measures,
+// so the gate only trips on catastrophic regressions (an accidental O(n^2)
+// queue, a Debug-flag leak into the release preset), never on machine
+// noise.
 //
 // These measure the *simulator*, not the paper's hardware; perfbench's
 // layer ledger covers codec throughput and one 247 KB reconfiguration.
@@ -18,41 +18,32 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "common/io.hpp"
 #include "core/system.hpp"
 
 namespace {
 
 using namespace uparc;
 
-// ---------------------------------------------------------------------------
-// Gated run: self-timed throughput + results/BENCH_kernel.json
-
 using WallClock = std::chrono::steady_clock;
 
-double seconds_since(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
+constexpr int kReps = 5;
 
-/// Best-of-`reps` wall-clock rate for `work`, which performs `items` units
-/// per call. Best-of (not mean) because the gate asks "can this machine
-/// run the loop this fast at all" — scheduler preemption only ever slows
-/// a rep down.
+/// Wall-clock rates of kReps calls of `work`, which performs `items` units
+/// per call.
 template <typename Fn>
-double best_rate(int reps, double items, Fn&& work) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
+std::vector<double> rates(double items, Fn&& work) {
+  std::vector<double> out;
+  for (int r = 0; r < kReps; ++r) {
     const auto start = WallClock::now();
     work();
-    const double elapsed = seconds_since(start);
-    if (elapsed > 0.0 && items / elapsed > best) best = items / elapsed;
+    out.push_back(items / std::chrono::duration<double>(WallClock::now() - start).count());
   }
-  return best;
+  return out;
 }
 
-double measure_event_rate() {
+std::vector<double> measure_event_rate() {
   constexpr u64 kEvents = 200'000;
-  return best_rate(5, static_cast<double>(kEvents), [&] {
+  return rates(static_cast<double>(kEvents), [&] {
     sim::Simulation sim;
     u64 count = 0;
     std::function<void()> tick = [&] {
@@ -63,9 +54,9 @@ double measure_event_rate() {
   });
 }
 
-double measure_cycle_rate() {
+std::vector<double> measure_cycle_rate() {
   constexpr u64 kCycles = 200'000;
-  return best_rate(5, static_cast<double>(kCycles), [&] {
+  return rates(static_cast<double>(kCycles), [&] {
     sim::Simulation sim;
     sim::Clock clk(sim, "clk", Frequency::mhz(300));
     u64 cycles = 0;
@@ -77,10 +68,10 @@ double measure_cycle_rate() {
   });
 }
 
-double measure_reconfig_rate() {
+std::vector<double> measure_reconfig_rate() {
   constexpr int kRounds = 8;
   auto bs = bench::one_bitstream(64 * 1024);
-  return best_rate(3, static_cast<double>(kRounds), [&] {
+  return rates(static_cast<double>(kRounds), [&] {
     for (int i = 0; i < kRounds; ++i) {
       core::System sys;
       (void)sys.set_frequency_blocking(Frequency::mhz(362.5));
@@ -90,59 +81,37 @@ double measure_reconfig_rate() {
   });
 }
 
-// Floors ~10x below a release-build run on a 2020s x86 core. A trip means
+// Floors well below a release-build run on a 2020s x86 core. A trip means
 // the simulator got an order of magnitude slower, not that CI was busy.
 constexpr double kFloorEventsPerSec = 2e6;
 constexpr double kFloorCyclesPerSec = 2e6;
 constexpr double kFloorReconfigsPerSec = 50.0;
 
-int gated_main() {
-  bench::banner("BENCH kernel", "simulation kernel throughput gate");
+}  // namespace
 
-  const double events_per_sec = measure_event_rate();
-  const double cycles_per_sec = measure_cycle_rate();
-  const double reconfigs_per_sec = measure_reconfig_rate();
+int main() {
+  bench::banner("BENCH kernel", "simulation kernel throughput gate");
+  bench::host_stamp();
+  std::printf("  median and IQR of %d repetitions; the gate reads the median\n\n", kReps);
 
   struct Row {
     const char* name;
-    double measured;
+    bench::Spread measured;
     double floor;
   } rows[] = {
-      {"events_per_sec", events_per_sec, kFloorEventsPerSec},
-      {"cycles_per_sec", cycles_per_sec, kFloorCyclesPerSec},
-      {"reconfigs_per_sec", reconfigs_per_sec, kFloorReconfigsPerSec},
+      {"events_per_sec", bench::spread(measure_event_rate()), kFloorEventsPerSec},
+      {"cycles_per_sec", bench::spread(measure_cycle_rate()), kFloorCyclesPerSec},
+      {"reconfigs_per_sec", bench::spread(measure_reconfig_rate()), kFloorReconfigsPerSec},
   };
 
   bool ok = true;
   for (const Row& r : rows) {
-    const bool pass = r.measured >= r.floor;
+    const bool pass = r.measured.median >= r.floor;
     ok = ok && pass;
-    std::printf("  %-20s measured %12.0f /s  floor %12.0f /s  %s\n", r.name, r.measured,
-                r.floor, pass ? "ok" : "BELOW FLOOR");
-  }
-
-  char json[1024];
-  std::snprintf(json, sizeof json,
-                "{\n"
-                "  \"bench\": \"kernel\",\n"
-                "  \"events_per_sec\": %.0f,\n"
-                "  \"cycles_per_sec\": %.0f,\n"
-                "  \"reconfigs_per_sec\": %.2f,\n"
-                "  \"gate_events_per_sec_min\": %.0f,\n"
-                "  \"gate_cycles_per_sec_min\": %.0f,\n"
-                "  \"gate_reconfigs_per_sec_min\": %.2f,\n"
-                "  \"pass\": %s\n"
-                "}\n",
-                events_per_sec, cycles_per_sec, reconfigs_per_sec, kFloorEventsPerSec,
-                kFloorCyclesPerSec, kFloorReconfigsPerSec, ok ? "true" : "false");
-  if (write_text_file("results/BENCH_kernel.json", json).ok()) {
-    std::printf("\n  wrote results/BENCH_kernel.json\n");
-  } else {
-    std::printf("\n  could not write results/BENCH_kernel.json (run from repo root)\n");
+    std::printf("  %-18s median %12.0f /s  IQR %11.0f /s (%4.1f%%)  floor %9.0f /s  %s\n",
+                r.name, r.measured.median, r.measured.iqr(),
+                100.0 * r.measured.iqr() / r.measured.median, r.floor,
+                pass ? "ok" : "BELOW FLOOR");
   }
   return ok ? 0 : 1;
 }
-
-}  // namespace
-
-int main() { return gated_main(); }

@@ -2,22 +2,24 @@
 // the barrier-epoch executor (sim/parallel.hpp) at 1/2/4/8 workers over
 // a faulted 8-device serve soak with the restart drill on.
 //
-// Reports events/sec (fleet simulation event equivalents over fe.run wall
-// time: kernel events plus inlined clock edges, so the rate stays
-// comparable with one event per edge) per worker count, the kernel events
-// actually dispatched, the speedup relative to the 1-worker reference, and
-// byte-compares the 1-worker vs 4-worker metrics artifact — the executor's
-// determinism contract. Gates (results/BENCH_parallel.json, exit code):
-//   * identical_artifacts: 1w and 4w metrics JSON byte-identical and zero
-//     invariant violations at every worker count (machine-independent);
-//   * speedup_4w >= 2.0 — enforced only when the host has >= 4 hardware
-//     threads (the CI container is often 1-wide; a pinned-shard executor
-//     cannot speed up without cores, so the floor would only measure the
-//     machine). The "machine" block records whether it was enforced.
-// Deterministic in simulated results: one seed, every cell the same
+// Runs kRounds rounds; each round runs one soak per worker count, so host
+// drift hits every column alike. Prints, per worker count, the median and
+// interquartile range over the rounds of the fe.run wall time, of events/s
+// (fleet simulation event equivalents: kernel events plus inlined clock
+// edges, so the rate stays comparable with one event per edge) and of the
+// speedup against the same round's 1-worker soak. One worker runs every
+// shard inline on the calling thread; N workers are that thread plus
+// N - 1 pool threads. Gates (exit code):
+//   * identical artifacts: every soak's metrics JSON byte-identical to the
+//     first 1-worker soak's, with zero invariant violations
+//     (machine-independent);
+//   * median speedup at 4 workers >= 2.0 — enforced only when the host has
+//     >= 4 hardware threads (a pinned-shard executor cannot speed up
+//     without cores, so the floor would only measure the machine).
+// Deterministic in simulated results: one seed, every soak the same
 // scenario; only wall-clock varies with the worker count.
+#include <array>
 #include <chrono>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "serve/soak.hpp"
@@ -29,23 +31,21 @@ using namespace uparc;
 constexpr unsigned kDevices = 8;
 constexpr u64 kRequests = 1200;
 constexpr u64 kSeed = 1;
+constexpr int kRounds = 5;
+constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
+constexpr std::size_t kColumns = std::size(kWorkerCounts);
 
-struct Cell {
-  unsigned workers = 0;
+struct Soak {
   double wall_ms = 0.0;
   u64 events = 0;         ///< event equivalents (events + inlined edges)
   u64 kernel_events = 0;  ///< events the kernels actually dispatched
   u64 completed = 0;
   std::size_t violations = 0;
   std::string metrics_json;
-
-  [[nodiscard]] double events_per_sec() const {
-    return wall_ms > 0.0 ? static_cast<double>(events) / (wall_ms / 1e3) : 0.0;
-  }
 };
 
-/// One soak at the given worker count; identical scenario across cells.
-Cell run_cell(unsigned workers) {
+/// One soak at the given worker count; identical scenario every time.
+Soak run_soak(unsigned workers) {
   serve::ServeSoakConfig soak_cfg;
   soak_cfg.seed = kSeed;
   soak_cfg.requests = kRequests;
@@ -69,8 +69,7 @@ Cell run_cell(unsigned workers) {
   fe.run(gen, kRequests);
   const auto t1 = std::chrono::steady_clock::now();
 
-  Cell out;
-  out.workers = workers;
+  Soak out;
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.events = fe.fleet_events_executed();
   out.kernel_events = fe.fleet_kernel_events();
@@ -86,73 +85,56 @@ Cell run_cell(unsigned workers) {
 int main() {
   using namespace uparc;
   bench::banner("PARALLEL", "Sharded fleet executor: events/sec and speedup vs workers");
+  bench::host_stamp();
+  const bool enforce_speedup = bench::hardware_threads() >= 4;
 
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const bool enforce_speedup = hw_threads >= 4;
-
-  const unsigned worker_counts[] = {1, 2, 4, 8};
-  std::vector<Cell> cells;
-  for (unsigned w : worker_counts) cells.push_back(run_cell(w));
-  const Cell& ref = cells[0];
+  // soaks[round][column]
+  std::vector<std::array<Soak, kColumns>> soaks(kRounds);
+  for (auto& round : soaks) {
+    for (std::size_t c = 0; c < kColumns; ++c) round[c] = run_soak(kWorkerCounts[c]);
+  }
+  const Soak& ref = soaks[0][0];
 
   std::printf("  %llu requests, %u devices, faults on, restart drill on, seed %llu\n",
               static_cast<unsigned long long>(kRequests), kDevices,
               static_cast<unsigned long long>(kSeed));
-  std::printf("  host hardware threads: %u (speedup gate %s)\n\n", hw_threads,
-              enforce_speedup ? "enforced" : "recorded only");
-  std::printf("  %-8s %10s %12s %12s %10s %9s %6s %6s\n", "workers", "wall_ms",
-              "events", "events/s", "kernel_ev", "speedup", "compl", "viol");
+  std::printf("  median [IQR] of %d rounds; speedup gate %s\n\n", kRounds,
+              enforce_speedup ? "enforced" : "recorded only (< 4 hardware threads)");
+  std::printf("  %-7s %18s %22s %18s %10s %6s %6s\n", "workers", "wall_ms", "events/s",
+              "speedup", "kernel_ev", "compl", "viol");
 
   bool identical = true;
-  std::size_t total_violations = 0;
-  double speedup[4] = {1.0, 1.0, 1.0, 1.0};
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    speedup[i] = c.wall_ms > 0.0 ? ref.wall_ms / c.wall_ms : 0.0;
-    total_violations += c.violations;
-    if (c.metrics_json != ref.metrics_json) identical = false;
-    std::printf("  %-8u %10.1f %12llu %12.0f %10llu %8.2fx %6llu %6zu\n", c.workers,
-                c.wall_ms, static_cast<unsigned long long>(c.events),
-                c.events_per_sec(), static_cast<unsigned long long>(c.kernel_events),
-                speedup[i],
-                static_cast<unsigned long long>(c.completed), c.violations);
-  }
-  identical = identical && total_violations == 0;
-
-  const bool pass = identical && (!enforce_speedup || speedup[2] >= 2.0);
-
-  char buf[1000];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n  \"bench\": \"parallel_fleet\",\n"
-      "  \"requests\": %llu,\n  \"devices\": %u,\n  \"seed\": %llu,\n"
-      "  \"events_per_sec_1w\": %.0f,\n  \"events_per_sec_4w\": %.0f,\n"
-      "  \"kernel_events_1w\": %llu,\n  \"kernel_events_4w\": %llu,\n"
-      "  \"speedup_2w\": %.3f,\n  \"speedup_4w\": %.3f,\n  \"speedup_8w\": %.3f,\n"
-      "  \"identical_artifacts\": %s,\n  \"gate_speedup_4w_min\": 2.00,\n"
-      "  \"pass\": %s,\n"
-      "  \"machine\": {\"hw_threads\": %u, \"speedup_gate_enforced\": %s,\n"
-      "    \"wall_ms_1w\": %.1f, \"wall_ms_2w\": %.1f, \"wall_ms_4w\": %.1f, "
-      "\"wall_ms_8w\": %.1f}\n}\n",
-      static_cast<unsigned long long>(kRequests), kDevices,
-      static_cast<unsigned long long>(kSeed), ref.events_per_sec(),
-      cells[2].events_per_sec(), static_cast<unsigned long long>(ref.kernel_events),
-      static_cast<unsigned long long>(cells[2].kernel_events), speedup[1], speedup[2],
-      speedup[3],
-      identical ? "true" : "false", pass ? "true" : "false", hw_threads,
-      enforce_speedup ? "true" : "false", cells[0].wall_ms, cells[1].wall_ms,
-      cells[2].wall_ms, cells[3].wall_ms);
-  std::error_code ec;
-  std::filesystem::create_directories("results", ec);
-  if (write_text_file("results/BENCH_parallel.json", buf).ok()) {
-    std::printf("\n  wrote results/BENCH_parallel.json\n");
+  bench::Spread speedup_4w;
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    std::vector<double> wall_ms;
+    std::vector<double> events_per_sec;
+    std::vector<double> speedup;
+    std::size_t violations = 0;
+    for (const auto& round : soaks) {
+      const Soak& s = round[c];
+      wall_ms.push_back(s.wall_ms);
+      events_per_sec.push_back(static_cast<double>(s.events) / (s.wall_ms / 1e3));
+      speedup.push_back(round[0].wall_ms / s.wall_ms);
+      violations += s.violations;
+      identical = identical && s.violations == 0 && s.metrics_json == ref.metrics_json;
+    }
+    const bench::Spread w = bench::spread(wall_ms);
+    const bench::Spread e = bench::spread(events_per_sec);
+    const bench::Spread x = bench::spread(speedup);
+    if (kWorkerCounts[c] == 4) speedup_4w = x;
+    const Soak& first = soaks[0][c];
+    std::printf("  %-7u %8.1f [%7.1f] %11.0f [%8.0f] %7.2fx [%6.2fx] %10llu %6llu %6zu\n",
+                kWorkerCounts[c], w.median, w.iqr(), e.median, e.iqr(), x.median, x.iqr(),
+                static_cast<unsigned long long>(first.kernel_events),
+                static_cast<unsigned long long>(first.completed), violations);
   }
 
-  std::printf("\n  1w vs 4w metrics byte-identical with zero violations: %s\n",
+  std::printf("\n  every soak's metrics byte-identical to 1 worker, zero violations: %s\n",
               identical ? "CONFIRMED" : "BROKEN");
+  const bool fast_enough = speedup_4w.median >= 2.0;
   if (enforce_speedup) {
-    std::printf("  4-worker wall-clock speedup >= 2.0x: %s (%.2fx)\n",
-                speedup[2] >= 2.0 ? "CONFIRMED" : "MISSED", speedup[2]);
+    std::printf("  median 4-worker wall-clock speedup >= 2.0x: %s (%.2fx)\n",
+                fast_enough ? "CONFIRMED" : "MISSED", speedup_4w.median);
   }
-  return pass ? 0 : 1;
+  return identical && (!enforce_speedup || fast_enough) ? 0 : 1;
 }

@@ -49,10 +49,10 @@ void diff_artifact(std::string_view name, std::string_view run1,
 
 /// Worker-count invariance check for the sharded parallel executor: runs
 /// serve::run_soak(config) with workers=1 as the reference, then with
-/// workers=0 (inline) and workers=4, and diffs each against the reference
-/// on the same seven artifacts as verify_serve_replay (14 diffs, named
-/// "serve-parallel/w<N>/..."). Divergence means thread scheduling or the
-/// inline path leaked into simulated results (scenario "serve-parallel").
+/// workers=2 and workers=4, and diffs each against the reference on the
+/// same seven artifacts as verify_serve_replay (14 diffs, named
+/// "serve-parallel/w<N>/..."). Divergence means thread scheduling or shard
+/// placement leaked into simulated results (scenario "serve-parallel").
 /// Telemetry is forced on like verify_serve_replay.
 [[nodiscard]] ReplayResult verify_parallel_replay(serve::ServeSoakConfig config);
 

@@ -9,7 +9,7 @@ namespace {
 constexpr std::size_t kShardHeapReserve = 4096;
 }  // namespace
 
-ParallelExecutor::ParallelExecutor(unsigned workers) : workers_(workers) {}
+ParallelExecutor::ParallelExecutor(unsigned workers) : workers_(std::max(workers, 1u)) {}
 
 ParallelExecutor::~ParallelExecutor() { stop(); }
 
@@ -48,25 +48,22 @@ void ParallelExecutor::start() {
     s.adopt = true;
   }
   running_ = true;
-  pool_.reserve(workers_);
-  for (unsigned w = 0; w < workers_; ++w) {
+  // The coordinator is worker 0, so the pool holds workers 1..N-1.
+  for (unsigned w = 1; w < workers_; ++w) {
     pool_.emplace_back(&ParallelExecutor::worker_loop, this, w);
   }
 }
 
 void ParallelExecutor::stop() {
   if (!running_) return;
-  if (workers_ == 0) {
-    release_pinned(0);
-  } else {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stopping_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : pool_) t.join();
-    pool_.clear();
+  release_pinned(0);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stopping_ = true;
   }
+  cv_work_.notify_all();
+  for (std::thread& t : pool_) t.join();
+  pool_.clear();
   running_ = false;
   // Workers released their shards on the way out; take them back. Pending
   // jobs and undelivered messages die with the pool (the serve front end
@@ -125,21 +122,17 @@ void ParallelExecutor::release(ShardId shard, Simulation* sim) {
 }
 
 void ParallelExecutor::epoch(ShardId solo) {
-  if (workers_ == 0) {
-    // No pool: the coordinator is the one worker and the barrier is trivial.
-    run_pinned(0, solo);
-  } else {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      solo_ = solo;
-      pending_ = workers_;
-      ++epoch_;
-    }
-    cv_work_.notify_all();
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_done_.wait(lk, [&] { return pending_ == 0; });
-    }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    solo_ = solo;
+    pending_ = static_cast<unsigned>(pool_.size());
+    ++epoch_;
+  }
+  cv_work_.notify_all();
+  run_pinned(0, solo);
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_done_.wait(lk, [&] { return pending_ == 0; });
   }
   // Advance failures first, in shard order, so the coordinator can fail
   // the affected work before this epoch's messages land.
@@ -207,8 +200,7 @@ void ParallelExecutor::run_shard(Shard& s) {
 }
 
 void ParallelExecutor::run_pinned(unsigned worker_index, ShardId solo) {
-  const unsigned stride = std::max(workers_, 1u);
-  for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size()); id += stride) {
+  for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size()); id += workers_) {
     if (solo != kNoShard && id != solo) continue;
     run_shard(shards_[id]);
   }
@@ -218,8 +210,7 @@ void ParallelExecutor::release_pinned(unsigned worker_index) {
   // Handoff, worker side of shutdown: give every pinned shard back. A
   // pending adopt is completed first so release always runs as the owner
   // and the topology counts stay paired.
-  const unsigned stride = std::max(workers_, 1u);
-  for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size()); id += stride) {
+  for (ShardId id = worker_index; id < static_cast<ShardId>(shards_.size()); id += workers_) {
     Shard& s = shards_[id];
     if (s.detached) continue;
     if (s.adopt) {

@@ -1,11 +1,11 @@
 // Parallel sharded execution of independent Simulation kernels.
 //
 // Each shard is one sim::Simulation (one serve device) pinned to a fixed
-// worker thread (shard i runs on worker i % workers — a pure function of
-// the shard id, never of runtime timing). With zero workers no thread is
-// started: the coordinator itself runs every shard, in shard order, as the
-// one worker would. The coordinator advances the fleet in conservative
-// barrier epochs:
+// worker (shard i runs on worker i % workers — a pure function of the shard
+// id, never of runtime timing). The coordinator is worker 0: N workers are
+// the coordinator plus a pool of N - 1 threads, and 0 workers run as 1 (no
+// pool; the coordinator runs every shard, in shard order). The coordinator
+// advances the fleet in conservative barrier epochs:
 //
 //   1. per-shard jobs posted since the last epoch run on the shard's
 //      worker (dispatching loads into the shard at its current time),
@@ -62,10 +62,11 @@ class ParallelExecutor {
     u64 messages = 0;
   };
 
-  /// `workers` pinned worker threads. 0 starts no thread: each epoch runs
-  /// inline on the calling (coordinator) thread through the same protocol
-  /// one worker runs — jobs, advance, handoff flags, wedging and the
-  /// merge — so 0, 1 and N workers produce the same results.
+  /// `workers` pinned workers, the calling (coordinator) thread being
+  /// worker 0, so N workers run on N threads. 0 is taken as 1: no pool
+  /// thread, every shard on the coordinator. Every worker count runs one
+  /// protocol — jobs, advance, handoff flags, wedging and the merge — so
+  /// all produce the same results.
   explicit ParallelExecutor(unsigned workers);
   ~ParallelExecutor();
 
@@ -77,11 +78,13 @@ class ParallelExecutor {
   /// the shard's event heap.
   ShardId add_shard(Simulation* sim, std::string name);
 
-  /// Launches the worker pool (none for 0 workers) and hands every shard
-  /// to its worker (coordinator releases, worker adopts).
+  /// Launches the pool (workers 1..N-1) and hands every shard to its
+  /// worker (coordinator releases, worker adopts; worker 0's shards are
+  /// adopted back by the coordinator at its first epoch).
   void start();
-  /// Parks the pool, hands every shard back to the coordinator (worker
-  /// releases, coordinator adopts) and joins the threads. Pending jobs and
+  /// Releases worker 0's shards on the coordinator, parks the pool, hands
+  /// every other shard back to the coordinator (worker releases,
+  /// coordinator adopts) and joins the threads. Pending jobs and
   /// undelivered messages are discarded. Idempotent.
   void stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -162,11 +165,12 @@ class ParallelExecutor {
   void run_shard(Shard& shard);
   /// Worker side of shutdown: hands worker `worker_index`'s shards back.
   void release_pinned(unsigned worker_index);
-  /// One epoch: runs the shards (inline, or on the pool and waits at the
-  /// barrier), then the error handler and the merged message delivery.
+  /// One epoch: wakes the pool, runs worker 0's shards on the coordinator,
+  /// waits at the barrier, then the error handler and the merged message
+  /// delivery.
   void epoch(ShardId solo);
 
-  unsigned workers_;
+  unsigned workers_;  ///< >= 1: shard i runs on worker i % workers_
   std::vector<Shard> shards_;
   std::vector<std::thread> pool_;
   Sink sink_;
@@ -174,10 +178,10 @@ class ParallelExecutor {
   Stats stats_;
   bool running_ = false;
 
-  // Barrier state (unused with 0 workers). `epoch_` is a generation
-  // counter: the coordinator bumps it to release the workers, each worker
-  // runs its pinned shards for that generation exactly once, and
-  // `pending_` counts workers still inside the epoch. All shard state above
+  // Barrier state. `epoch_` is a generation counter: the coordinator bumps
+  // it to release the pool, each pool worker runs its pinned shards for
+  // that generation exactly once, and `pending_` counts pool workers still
+  // inside the epoch. All shard state above
   // is only touched by its pinned worker between the two condition-variable
   // edges, so the mutex pair is the complete synchronization story
   // (TSan-clean by construction).

@@ -263,11 +263,11 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
     }
     check_state(*ref, st, violate_ref);
     report.reference_records = ref->wal->records_appended();
-    const WalScan scan = scan_wal(ref->wal_store.read_all());
+    report.reference_wal = ref->wal_store.read_all();
+    const WalScan scan = scan_wal(report.reference_wal);
     if (scan.tail != WalTailState::kClean) {
       violate_ref("reference WAL tail not clean: " + scan.tail_error);
     }
-    report.reference_wal_json = render_wal_json(scan);
   }
   ref.reset();  // frees its 8 MB staging tier: each crash run builds its own stacks
   if (!report.ok() || report.reference_records == 0) return report;

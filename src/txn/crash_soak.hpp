@@ -78,7 +78,7 @@ struct CrashSoakReport {
   unsigned aborts_reprogram = 0;
   std::vector<CrashSoakViolation> violations;
 
-  std::string reference_wal_json;  ///< artifact: reference run's final log
+  Bytes reference_wal;             ///< artifact: reference run's final log, raw
   std::string last_recovery_json;  ///< artifact: last crash run's recovery
   /// One deterministic line per crash run (tail state, per-region verdicts,
   /// recovery-report CRC): the determinism gate's diffable artifact.

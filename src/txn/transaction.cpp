@@ -100,6 +100,11 @@ void TxnManager::wal_phase(TxnPhase phase, const std::string& note) {
   wal_->append(WalRecordType::kTxnPhase, os.str());
 }
 
+void TxnManager::enter_phase(TxnPhase phase, const std::string& note) {
+  journal_.advance(txn_id_, phase, note);
+  wal_phase(phase, note);
+}
+
 void TxnManager::wal_health() {
   if (wal_ == nullptr) return;
   wal_->append(WalRecordType::kHealth, "{\"health\":" + health_.to_json() + "}");
@@ -236,8 +241,7 @@ void TxnManager::execute(const std::string& region, const std::string& module,
 }
 
 void TxnManager::start_forward() {
-  journal_.advance(txn_id_, TxnPhase::kForward);
-  wal_phase(TxnPhase::kForward);
+  enter_phase(TxnPhase::kForward);
   recovery_.policy() = policy_.forward;
   recovery_.run(image_, [this](const manager::RecoveryOutcome& o) { on_forward(o); });
 }
@@ -255,8 +259,7 @@ void TxnManager::on_forward(const manager::RecoveryOutcome& o) {
 }
 
 void TxnManager::start_verify(VerifyTarget target, std::shared_ptr<const bits::Image> image) {
-  journal_.advance(txn_id_, TxnPhase::kVerify);
-  wal_phase(TxnPhase::kVerify);
+  enter_phase(TxnPhase::kVerify);
   ++out_.verify_runs;
   metrics().counter(name() + ".verifies").add();
   verifying_ = std::move(image);
@@ -319,8 +322,7 @@ void TxnManager::rollback_round(std::string reason) {
     return;
   }
   ++out_.rollback_rounds;
-  journal_.advance(txn_id_, TxnPhase::kRollback, reason);
-  wal_phase(TxnPhase::kRollback, reason);
+  enter_phase(TxnPhase::kRollback, reason);
   metrics().counter(name() + ".rollback_rounds").add();
   if (obs::Tracer* tr = tracer()) {
     tr->instant("txn.rollback_round", "txn");

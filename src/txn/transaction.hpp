@@ -174,6 +174,10 @@ class TxnManager : public sim::Module {
   /// span. A recovery is marked in the WAL and counted and traced apart.
   void open_txn(TxnCallback done, bool recovery);
   void wal_phase(TxnPhase phase, const std::string& note = "");
+  /// A non-terminal phase: the journal record, then its WAL record. The
+  /// terminal phases order the two themselves (the WAL record is the
+  /// durable commit point; finish() closes the journal).
+  void enter_phase(TxnPhase phase, const std::string& note = "");
   void wal_health();
   void start_forward();
   void on_forward(const manager::RecoveryOutcome& o);

@@ -189,7 +189,9 @@ TEST(CrashSoakTest, BoundedSweepHoldsCrashConsistencyInvariants) {
   EXPECT_GT(report.reference_records, 0u);
   EXPECT_EQ(report.runs, report.crashes);  // every armed point fired
   EXPECT_GT(report.runs, 0u);
-  EXPECT_FALSE(report.reference_wal_json.empty());
+  // The artifact is the raw log, which scans clean.
+  EXPECT_FALSE(report.reference_wal.empty());
+  EXPECT_EQ(scan_wal(report.reference_wal).tail, WalTailState::kClean);
   EXPECT_FALSE(report.last_recovery_json.empty());
   EXPECT_FALSE(report.sweep_log.empty());
 }

@@ -1,6 +1,6 @@
 // Tests for the sharded parallel executor: barrier-epoch protocol, message
-// merge order, ownership handoff round-trips, wedge handling, the inline
-// (zero-worker) executor, and the worker-count invariance of the serve
+// merge order, ownership handoff round-trips, wedge handling, the
+// coordinator as worker 0, and the worker-count invariance of the serve
 // fleet artifacts.
 #include <gtest/gtest.h>
 
@@ -31,6 +31,7 @@ TEST(ParallelExecutor, MessagesMergeInTimeShardSeqOrder) {
     ex.post(sa, [&ex, sa, &log] {
       ex.send(sa, TimePs(30), [&log] { log.push_back("a@30"); });
       ex.send(sa, TimePs(30), [&log] { log.push_back("a@30#2"); });
+      ex.send(sa, TimePs(30), [&log] { log.push_back("a@30#3"); });
     });
     ex.post(sb, [&ex, sb, &log] {
       ex.send(sb, TimePs(10), [&log] { log.push_back("b@10"); });
@@ -38,10 +39,12 @@ TEST(ParallelExecutor, MessagesMergeInTimeShardSeqOrder) {
     });
     ex.run_epoch({TimePs(100), TimePs(100)});
     ex.stop();
-    EXPECT_EQ(log, (std::vector<std::string>{"b@10", "a@30", "a@30#2", "b@30"}))
+    // b@30 and a@30#2 share (t, seq): the shard breaks the tie, and all of
+    // a's messages at 30 precede b's.
+    EXPECT_EQ(log, (std::vector<std::string>{"b@10", "a@30", "a@30#2", "a@30#3", "b@30"}))
         << workers << " workers";
     EXPECT_EQ(ex.stats().epochs, 1u);
-    EXPECT_EQ(ex.stats().messages, 4u);
+    EXPECT_EQ(ex.stats().messages, 5u);
   }
 }
 
@@ -185,11 +188,52 @@ TEST(ParallelExecutor, ZeroWorkersRunTheProtocolInlineOnTheCaller) {
   }
 }
 
+TEST(ParallelExecutor, CoordinatorRunsWorkerZerosShards) {
+  // The coordinator is worker 0: with 3 workers shard 0 runs on the
+  // calling thread and shards 1 and 2 on the two pool threads, also across
+  // a handoff drill on shard 0.
+  const std::thread::id caller = std::this_thread::get_id();
+  Simulation sims[3];
+  ParallelExecutor ex(3);
+  for (int i = 0; i < 3; ++i) ex.add_shard(&sims[i], "s" + std::to_string(i));
+  std::thread::id ran_on[3];
+  auto post_all = [&] {
+    for (ShardId id = 0; id < 3; ++id) {
+      ex.post(id, [&ran_on, id] { ran_on[id] = std::this_thread::get_id(); });
+    }
+  };
+  ex.start();
+  post_all();
+  ex.run_epoch({TimePs(10), TimePs(10), TimePs(10)});
+  EXPECT_EQ(ran_on[0], caller);
+  EXPECT_NE(ran_on[1], caller);
+  EXPECT_NE(ran_on[2], caller);
+  EXPECT_NE(ran_on[1], ran_on[2]);
+
+  ex.acquire(0);
+  ex.release(0, &sims[0]);
+  ran_on[0] = ran_on[1] = ran_on[2] = std::thread::id();
+  post_all();
+  ex.run_epoch({TimePs(20), TimePs(20), TimePs(20)});
+  ex.stop();
+  EXPECT_EQ(ran_on[0], caller);
+  EXPECT_NE(ran_on[1], caller);
+  EXPECT_NE(ran_on[2], caller);
+  // Every release paired with an adopt: start and stop for each shard,
+  // plus acquire and release for shard 0.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(sims[i].now(), TimePs(20)) << "shard " << i;
+    EXPECT_EQ(sims[i].topology().handoff_releases(), sims[i].topology().handoff_adopts())
+        << "shard " << i;
+    EXPECT_EQ(sims[i].topology().handoff_releases(), i == 0 ? 4u : 2u) << "shard " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Worker-count invariance over the real serve fleet: the acceptance
 // contract for the executor. All seven artifacts must match 1 worker byte
-// for byte, inline (0 workers) included — also in the faulted +
-// restart-drill scenario.
+// for byte — also in the faulted + restart-drill scenario. (0 workers run
+// the 1-worker code.)
 
 TEST(ParallelServe, WorkerCountInvariantArtifacts) {
   serve::ServeSoakConfig cfg;
@@ -202,7 +246,7 @@ TEST(ParallelServe, WorkerCountInvariantArtifacts) {
   cfg.workers = 1;
   const serve::ServeSoakReport one = serve::run_soak(cfg);
   EXPECT_TRUE(one.ok()) << one.summary();
-  for (unsigned workers : {0u, 2u, 4u}) {
+  for (unsigned workers : {2u, 3u, 4u}) {
     cfg.workers = workers;
     const serve::ServeSoakReport n = serve::run_soak(cfg);
     EXPECT_TRUE(n.ok()) << n.summary();

@@ -17,7 +17,7 @@
 //   uparc_cli crash-soak [--ops N] [--seed S] [--regions N] [--modules N]
 //                      [--module-kb N] [--rate-scale X] [--stride N]
 //                      [--max-points N] [--corruptions 0|1] [--json]
-//                      [--wal-out f.json] [--recovery-out f.json]
+//                      [--wal-out f.wal] [--recovery-out f.json]
 //                      [--sweep-out f.log]
 //   uparc_cli trace    f.bit [--out trace.json] [--mhz F] [--metrics] [--json]
 //                      [--scrub-rounds N]
@@ -945,7 +945,8 @@ int cmd_crash_soak(const Args& a) {
     }
     return true;
   };
-  if (!dump(a.get("wal-out", ""), "wal", report.reference_wal_json)) return 1;
+  const std::string wal(report.reference_wal.begin(), report.reference_wal.end());
+  if (!dump(a.get("wal-out", ""), "wal", wal)) return 1;
   if (!dump(a.get("recovery-out", ""), "recovery", report.last_recovery_json)) return 1;
   if (!dump(a.get("sweep-out", ""), "sweep", report.sweep_log)) return 1;
 
@@ -986,8 +987,8 @@ int cmd_verify_determinism(const Args& a) {
       cfg.requests = static_cast<u64>(a.get_num("requests", 300));
       cfg.devices = static_cast<unsigned>(a.get_num("devices", 2));
       results.push_back(analysis::verify_serve_replay(cfg));
-      // Same scenario at 0 (inline) and 4 workers against 1 worker: all
-      // must be byte-identical (worker-count invariance).
+      // Same scenario at 2 and 4 workers against 1 worker: all must be
+      // byte-identical (worker-count invariance).
       results.push_back(analysis::verify_parallel_replay(cfg));
     }
     if (scenario == "all" || scenario == "soak") {
@@ -1078,8 +1079,9 @@ void usage(std::FILE* to) {
       "           [--telemetry-out DIR] [--telemetry-us T]\n"
       "           — exits non-zero on any invariant violation, 2 on an\n"
       "           unknown --dist; --json reports controller restarts;\n"
-      "           --workers N runs the fleet's barrier epochs on N threads\n"
-      "           (0 = inline; byte-identical artifacts for any N);\n"
+      "           --workers N runs the fleet's barrier epochs on N threads,\n"
+      "           the calling one included (0 = 1; byte-identical\n"
+      "           artifacts for any N);\n"
       "           --telemetry-out writes telemetry.json/.csv, alerts.json\n"
       "           and the flight-recorder dump (flight.json) into DIR\n"
       "  slo      serve soak with telemetry + SLO burn-rate alerting:\n"
@@ -1103,8 +1105,9 @@ void usage(std::FILE* to) {
       "           [--ops N] [--seed S] [--regions N] [--modules N]\n"
       "           [--module-kb N] [--rate-scale X] [--stride N]\n"
       "           [--max-points N] [--corruptions 0|1] [--json]\n"
-      "           [--wal-out f.json] [--recovery-out f.json]\n"
-      "           [--sweep-out f.log] — exits non-zero on any violation\n"
+      "           [--wal-out f.wal] [--recovery-out f.json]\n"
+      "           [--sweep-out f.log] — exits non-zero on any violation;\n"
+      "           --wal-out writes the reference run's log, which wal reads\n"
       "  cache-stats  repeated-load workload through the bitstream cache:\n"
       "           hit/miss/eviction/relocation counts per tier and the\n"
       "           latency comparison against a cache-less controller\n"
