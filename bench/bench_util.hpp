@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bitstream/generator.hpp"
+#include "common/crc32.hpp"
 #include "common/io.hpp"
 #include "core/system.hpp"
 
@@ -58,7 +59,7 @@ inline Spread spread(std::vector<double> sample) {
 inline unsigned hardware_threads() { return std::max(1u, std::thread::hardware_concurrency()); }
 
 /// Prints what a host-time number depends on besides the code: hardware
-/// threads, compiler and build type.
+/// threads, compiler, build type and the CRC kernel the CPU selected.
 inline void host_stamp() {
 #if defined(__clang__)
   const char* compiler = "clang " __clang_version__;
@@ -67,8 +68,8 @@ inline void host_stamp() {
 #else
   const char* compiler = "unknown compiler";
 #endif
-  std::printf("  host: %u hardware threads, %s, %s build\n", hardware_threads(), compiler,
-              UPARC_BUILD_TYPE);
+  std::printf("  host: %u hardware threads, %s, %s build, %s CRC kernel\n", hardware_threads(),
+              compiler, UPARC_BUILD_TYPE, crc32_kernel());
 }
 
 /// The reference bitstream corpus: high-utilization partial bitstreams at

@@ -11,22 +11,22 @@ class Crc32 {
  public:
   Crc32() = default;
 
-  /// Bytewise table step; the reference the word path is tested against.
+  /// Bytewise table step; the reference every span kernel is tested against.
   void update(u8 byte) noexcept;
-  /// Four bytes per sliced step, then the tail bytewise; equals update(u8)
-  /// on each byte in turn.
+  /// Equals update(u8) on each byte in turn. Long spans take the carry-less
+  /// fold where the CPU has one (crc32_kernel()), the rest the sliced steps.
   void update(BytesView bytes) noexcept;
   /// Feeds a 32-bit word in big-endian byte order (bitstream word order),
   /// four bytes per step through sliced tables; equals four update(u8).
   void update_word(u32 word) noexcept;
-  /// Feeds each word of `words` as update_word() would, four words per
-  /// sixteen-lane step.
+  /// Feeds each word of `words` as update_word() would, through the same
+  /// kernels as update(BytesView).
   void update_words(WordsView words) noexcept;
   /// Feeds `word` then the byte `tag` in one five-lane step; equals
   /// update_word(word) then update(tag).
   void update_tagged(u32 word, u8 tag) noexcept;
-  /// Feeds each word of `words` followed by `tag`, four words per
-  /// twenty-lane step; equals update_tagged(w, tag) for every w in order.
+  /// Feeds each word of `words` followed by `tag`, through the same kernels
+  /// as update(BytesView); equals update_tagged(w, tag) for every w in order.
   void update_tagged(WordsView words, u8 tag) noexcept;
 
   [[nodiscard]] u32 value() const noexcept { return ~state_; }
@@ -35,6 +35,10 @@ class Crc32 {
  private:
   u32 state_ = 0xFFFFFFFFu;
 };
+
+/// The span kernel this host runs: "pclmul" (the carry-less fold, on x86
+/// CPUs with PCLMULQDQ, SSSE3 and SSE4.1) or "sliced".
+[[nodiscard]] const char* crc32_kernel() noexcept;
 
 /// One-shot CRC-32 of a byte buffer.
 [[nodiscard]] u32 crc32(BytesView bytes) noexcept;

@@ -1,9 +1,12 @@
 // Unit tests for the support library: units, results, CRC, bit I/O, PRNG.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "bitstream/packet.hpp"
 #include "common/bitio.hpp"
 #include "common/crc32.hpp"
+#include "common/crc32_kernels.hpp"
 #include "common/prng.hpp"
 #include "common/result.hpp"
 #include "common/units.hpp"
@@ -205,6 +208,161 @@ TEST(Crc32, ConfigCrcRegisterSequencesMatchBytewiseReference) {
       ASSERT_EQ(tagged.value(), ref.value()) << "register " << code << ", " << len << " words";
     }
   }
+}
+
+// Each span kernel, called directly, against the bytewise update(u8)
+// reference. The dispatcher sends a span to one kernel by CPU and length,
+// so these reach the sliced steps and the carry-less fold at every length,
+// whatever this host selects.
+
+using TaggedKernel = u32 (*)(u32, WordsView, u8) noexcept;
+using WordsKernel = u32 (*)(u32, WordsView) noexcept;
+using BytesKernel = u32 (*)(u32, BytesView) noexcept;
+
+/// A reference fed a random prefix, so the kernels start from a random
+/// state (`~value()`, as the kernels take the register, not the value).
+Crc32 random_start(Prng& rng) {
+  Crc32 c;
+  for (std::size_t n = 1 + rng.below(8); n > 0; --n) c.update(rng.byte());
+  return c;
+}
+
+void feed_bytewise(Crc32& ref, u32 word) {
+  for (int shift = 24; shift >= 0; shift -= 8) ref.update(static_cast<u8>(word >> shift));
+}
+
+/// Spans of every length 0-300 words, starting at each word of a 16-byte
+/// line: past the fold's four-block minimum, its 64-byte steps and every
+/// tail length, with the buffer's alignment seen from each word.
+constexpr std::size_t kMaxSpanWords = 300;
+struct alignas(16) SpanBuffer {
+  std::array<u32, kMaxSpanWords + 4> words;
+};
+
+SpanBuffer random_span_buffer(Prng& rng) {
+  SpanBuffer b;
+  for (u32& w : b.words) w = static_cast<u32>(rng.next());
+  return b;
+}
+
+/// The 63,253-word body of a 247 KB image, one span.
+Words full_body(Prng& rng) {
+  Words w(63'253);
+  for (u32& x : w) x = static_cast<u32>(rng.next());
+  return w;
+}
+
+void expect_tagged_kernel_matches_bytewise(TaggedKernel kernel) {
+  Prng rng(2012);
+  const SpanBuffer buf = random_span_buffer(rng);
+  for (u32 code = 0; code < 32; ++code) {
+    const u8 tag = static_cast<u8>(code);
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      const Crc32 start = random_start(rng);
+      Crc32 ref = start;
+      for (std::size_t len = 0; len <= kMaxSpanWords; ++len) {
+        const WordsView span = WordsView(buf.words).subspan(offset, len);
+        ASSERT_EQ(~kernel(~start.value(), span, tag), ref.value())
+            << "register " << code << ", offset " << offset << ", " << len << " words";
+        feed_bytewise(ref, buf.words[offset + len]);
+        ref.update(tag);
+      }
+    }
+  }
+  const Words body = full_body(rng);
+  const Crc32 start = random_start(rng);
+  Crc32 ref = start;
+  for (u32 w : body) {
+    feed_bytewise(ref, w);
+    ref.update(u8{0x02});  // FDRI
+  }
+  EXPECT_EQ(~kernel(~start.value(), body, u8{0x02}), ref.value());
+}
+
+void expect_words_kernel_matches_bytewise(WordsKernel kernel) {
+  Prng rng(1433);
+  const SpanBuffer buf = random_span_buffer(rng);
+  for (int rep = 0; rep < 4; ++rep) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      const Crc32 start = random_start(rng);
+      Crc32 ref = start;
+      for (std::size_t len = 0; len <= kMaxSpanWords; ++len) {
+        const WordsView span = WordsView(buf.words).subspan(offset, len);
+        ASSERT_EQ(~kernel(~start.value(), span), ref.value())
+            << "offset " << offset << ", " << len << " words";
+        feed_bytewise(ref, buf.words[offset + len]);
+      }
+    }
+  }
+  const Words body = full_body(rng);
+  const Crc32 start = random_start(rng);
+  Crc32 ref = start;
+  for (u32 w : body) feed_bytewise(ref, w);
+  EXPECT_EQ(~kernel(~start.value(), body), ref.value());
+}
+
+void expect_bytes_kernel_matches_bytewise(BytesKernel kernel) {
+  // Every length 0-320 bytes from each of the 16 byte offsets of a line.
+  constexpr std::size_t kMaxBytes = 320;
+  Prng rng(247);
+  struct alignas(16) {
+    std::array<u8, kMaxBytes + 16> bytes;
+  } buf;
+  for (u8& b : buf.bytes) b = rng.byte();
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const Crc32 start = random_start(rng);
+    Crc32 ref = start;
+    for (std::size_t len = 0; len <= kMaxBytes; ++len) {
+      const BytesView span = BytesView(buf.bytes).subspan(offset, len);
+      ASSERT_EQ(~kernel(~start.value(), span), ref.value())
+          << "offset " << offset << ", " << len << " bytes";
+      ref.update(buf.bytes[offset + len]);
+    }
+  }
+}
+
+TEST(Crc32Kernels, SlicedTaggedMatchesBytewiseReference) {
+  expect_tagged_kernel_matches_bytewise(crc32_kernels::sliced_tagged);
+}
+
+TEST(Crc32Kernels, SlicedWordsMatchBytewiseReference) {
+  expect_words_kernel_matches_bytewise(crc32_kernels::sliced_words);
+}
+
+TEST(Crc32Kernels, SlicedBytesMatchBytewiseReference) {
+  expect_bytes_kernel_matches_bytewise(crc32_kernels::sliced_bytes);
+}
+
+#if UPARC_CRC32_CLMUL
+constexpr const char* kNoClmul =
+    "this CPU lacks PCLMULQDQ, SSSE3 or SSE4.1, so the carry-less kernel cannot run";
+
+TEST(Crc32Kernels, ClmulTaggedMatchesBytewiseReference) {
+  if (!crc32_kernels::clmul_supported()) GTEST_SKIP() << kNoClmul;
+  expect_tagged_kernel_matches_bytewise(crc32_kernels::clmul_tagged);
+}
+
+TEST(Crc32Kernels, ClmulWordsMatchBytewiseReference) {
+  if (!crc32_kernels::clmul_supported()) GTEST_SKIP() << kNoClmul;
+  expect_words_kernel_matches_bytewise(crc32_kernels::clmul_words);
+}
+
+TEST(Crc32Kernels, ClmulBytesMatchBytewiseReference) {
+  if (!crc32_kernels::clmul_supported()) GTEST_SKIP() << kNoClmul;
+  expect_bytes_kernel_matches_bytewise(crc32_kernels::clmul_bytes);
+}
+#else
+TEST(Crc32Kernels, ClmulKernelsMatchBytewiseReference) {
+  GTEST_SKIP() << "the carry-less kernel is built for x86 only";
+}
+#endif
+
+TEST(Crc32Kernels, KernelQueryNamesTheDispatchedKernel) {
+#if UPARC_CRC32_CLMUL
+  EXPECT_STREQ(crc32_kernel(), crc32_kernels::clmul_supported() ? "pclmul" : "sliced");
+#else
+  EXPECT_STREQ(crc32_kernel(), "sliced");
+#endif
 }
 
 TEST(Types, WordPackingRoundTrip) {
